@@ -10,10 +10,16 @@ Two estimators:
   output (output-error least squares).  Decay rates come from a geometric
   candidate grid (optionally mirrored to negative, growing rates); for
   every rate combination the gains and the impulse gain are a linear
-  least-squares solve.  The best combination of each model order is then
-  polished by coordinate descent with a golden-section line search per
-  rate, and the lowest order wins ties.  The whole procedure is
-  deterministic: same run and config, same model.
+  least-squares solve, scored in closed form for one and two modes.  The
+  grid's best rate set of each order is the one with the lowest residual;
+  exact ties go to the lexicographically first index set.  That set, and
+  from two modes up also the previous order's refined rates plus the best
+  added candidate, are refined by variable projection (Golub & Pereyra
+  1973): Levenberg-Marquardt over log|rate| with every sign fixed, the
+  gains projected out at each iterate and Kaufman's (1975) Jacobian.  The
+  lower refined residual wins, the grid start on a tie.  Between orders
+  the lowest residual wins, and ties go to the smaller model.  The whole
+  procedure is deterministic: same run and config, same model.
 
 Goodness of fit is NRMSE, 1 - ||y - yhat|| / ||y - mean(y)||: 1 is an
 exact match, 0 means no better than the mean.
@@ -30,10 +36,18 @@ import numpy as np
 from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
 from .transient import trapezoid_convolve
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
 _MAX_GROWTH_EXPONENT = 150.0
+# a normalised Gram determinant at or below this marks a rate set as
+# singular, in the grid search and in refinement alike
+_SINGULAR_DET = 1e-10
+# refinement stops once an accepted step gains less than this fraction
+_REL_TOL = 1e-10
+# refinement moves each log|rate| by at most this much per step
+_MAX_LOG_STEP = 1.0
+# float64 elements per FFT block when building the candidate responses
+_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,7 @@ class FitConfig:
     rate_min: float = 1e-3
     rate_max: float = 1e3
     points_per_decade: int = 60
+    # Levenberg-Marquardt trial steps per model order; 0 keeps the grid rates
     refine_iterations: int = 50
 
     def __post_init__(self):
@@ -124,19 +139,36 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
     return FdpFit(alpha, _nrmse(y, alpha * u))
 
 
-def _mode_response(rate: float, tau: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    return trapezoid_convolve(np.exp(-rate * tau), u, dt)
+class ModeBasis:
+    """Trapezoid-rule responses of exponential kernels to one recorded input.
+
+    The input's FFT is taken once; every call convolves a batch of kernels
+    sampled on ``tau`` with it, with the weights of ``trapezoid_convolve``.
+    """
+
+    def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
+        self.tau, self.u, self.dt = tau, u, dt
+        self.nfft = 1 << max(2 * len(u) - 1, 2).bit_length()
+        self.U = np.fft.rfft(u, self.nfft)
+
+    def convolve(self, kernels: np.ndarray) -> np.ndarray:
+        n = len(self.u)
+        out = np.fft.irfft(np.fft.rfft(kernels, self.nfft, axis=1) * self.U, self.nfft, axis=1)[:, :n]
+        out -= 0.5 * (kernels[:, :1] * self.u + kernels * self.u[0])
+        out *= self.dt
+        return out
 
 
-def _solve_gains(rates, tau, u, y, dt, allow_impulse):
-    """Least-squares gains for fixed rates; returns (residual_sq, impulse, gains)."""
-    cols = ([u] if allow_impulse else []) + [_mode_response(r, tau, u, dt) for r in rates]
-    A = np.column_stack(cols)
-    theta, *_ = np.linalg.lstsq(A, y, rcond=None)
-    r = y - A @ theta
-    if allow_impulse:
-        return float(r @ r), float(theta[0]), [float(g) for g in theta[1:]]
-    return float(r @ r), 0.0, [float(g) for g in theta]
+def eliminate_first(G: np.ndarray, c: np.ndarray, yy: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Gram system of the other unknowns with the first one projected out.
+
+    Schur complement of G[0, 0]: for any index set S of the rest, the
+    residual of S plus the first unknown equals the reduced system's
+    residual of S, and the full determinant is G[0, 0] times the reduced
+    one.  Returns (G', c', yy', G[0, 0]).
+    """
+    g0, a = float(G[0, 0]), G[1:, 0]
+    return G[1:, 1:] - np.outer(a, a) / g0, c[1:] - a * (c[0] / g0), yy - float(c[0]) ** 2 / g0, g0
 
 
 def _combo_chunks(n: int, k: int, chunk: int):
@@ -144,24 +176,181 @@ def _combo_chunks(n: int, k: int, chunk: int):
 
     Streamed so that large k never materializes the whole combination set.
     """
+    it = itertools.combinations(range(n), k)
+    while block := list(itertools.islice(it, chunk)):
+        yield np.array(block, dtype=np.intp)
+
+
+def best_grid_combo(
+    G: np.ndarray, c: np.ndarray, yy: float, k: int, min_det: float = _SINGULAR_DET
+) -> tuple[float, np.ndarray] | None:
+    """Lowest-residual size-k index set of a Gram system.
+
+    The residual of a set S is yy - c_S' G_SS^-1 c_S; sets with
+    |det G_SS| <= min_det are singular and skipped.  One and two indices
+    are scored in closed form, larger sets by batched solves.  Sets are
+    visited in lexicographic order and the first wins exact ties.
+    Returns (residual, indices), or None when every set is singular.
+    """
     if k == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-    elif k == 1:
-        idx = np.arange(n, dtype=np.intp)[:, None]
-        for lo in range(0, n, chunk):
-            yield idx[lo : lo + chunk]
-    elif k == 2:
-        i, j = np.triu_indices(n, 1)
-        pairs = np.column_stack([i, j]).astype(np.intp, copy=False)
-        for lo in range(0, len(pairs), chunk):
-            yield pairs[lo : lo + chunk]
+        return yy, np.empty(0, dtype=np.intp)
+    if k <= 2:
+        d = np.diagonal(G)
+        if k == 1:
+            det, num = d, c * c
+        else:
+            i, j = np.triu_indices(len(c), 1)
+            gij, ci, cj = G[i, j], c[i], c[j]
+            det = d[i] * d[j] - gij * gij
+            num = d[j] * ci * ci - 2.0 * gij * ci * cj + d[i] * cj * cj
+        ok = np.abs(det) > min_det
+        res = np.full(len(det), math.inf)
+        res[ok] = yy - num[ok] / det[ok]
+        best = int(np.argmin(res))
+        if not math.isfinite(res[best]):
+            return None
+        return float(res[best]), (np.array([best]) if k == 1 else np.array([i[best], j[best]]))
+    best_res, best_set = math.inf, None
+    for part in _combo_chunks(len(c), k, 200_000):
+        Gs = G[part[:, :, None], part[:, None, :]]
+        cs = c[part]
+        res = np.full(len(part), math.inf)
+        ok = np.abs(np.linalg.det(Gs)) > min_det
+        if ok.any():
+            theta = np.linalg.solve(Gs[ok], cs[ok][..., None])[..., 0]
+            res[ok] = yy - np.einsum("ij,ij->i", theta, cs[ok])
+        j = int(np.argmin(res))
+        if res[j] < best_res:
+            best_res, best_set = float(res[j]), part[j]
+    return None if best_set is None else (best_res, best_set)
+
+
+@dataclass(frozen=True)
+class Projection:
+    """Least-squares state of one rate set with the gains projected out.
+
+    ``r`` is the residual vector and ``residual`` its squared norm.
+    ``jacobian`` holds Kaufman's columns, dr/d(log|rate_j|) ~
+    -gain_j * P_perp * D_j.  ``q`` is an orthonormal basis of the columns
+    (impulse first) and ``det`` their normalised Gram determinant.
+    """
+
+    rates: np.ndarray
+    residual: float
+    impulse: float
+    gains: np.ndarray
+    r: np.ndarray
+    jacobian: np.ndarray
+    q: np.ndarray
+    det: float
+
+
+def project(
+    basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: bool, min_det: float | None = None
+) -> Projection | None:
+    """Gains, residual and Jacobian of y for fixed rates.
+
+    The mode columns and their derivatives with respect to log|rate| (the
+    convolution of -rate*tau*exp(-rate*tau) with u) come from one batched
+    FFT, the gains from a QR solve.  With ``min_det`` a set whose
+    normalised Gram determinant is at or below it counts as singular.
+    None when the set is singular or anything is non-finite.
+    """
+    k = len(rates)
+    if k:
+        E = np.exp(-np.outer(rates, basis.tau))
+        cols = basis.convolve(np.vstack([E, -(rates[:, None] * basis.tau) * E]))
+        phi, deriv = cols[:k], cols[k:]
     else:
-        it = itertools.combinations(range(n), k)
-        while True:
-            block = list(itertools.islice(it, chunk))
-            if not block:
-                return
-            yield np.array(block, dtype=np.intp)
+        phi = deriv = np.empty((0, len(y)))
+    A = np.vstack([basis.u, phi]).T if allow_impulse else phi.T
+    Q, R = np.linalg.qr(A)
+    norms = np.linalg.norm(A, axis=0)
+    if not norms.all():
+        return None
+    det = float(np.prod((np.diagonal(R) / norms) ** 2))
+    if min_det is not None and det <= min_det:
+        return None
+    qy = Q.T @ y
+    try:
+        theta = np.linalg.solve(R, qy)
+    except np.linalg.LinAlgError:
+        return None
+    r = y - Q @ qy
+    residual = float(r @ r)
+    if not (math.isfinite(residual) and np.isfinite(theta).all()):
+        return None
+    gains = theta[1:] if allow_impulse else theta
+    dT = deriv.T
+    jacobian = -(dT - Q @ (Q.T @ dT)) * gains
+    return Projection(rates, residual, float(theta[0]) if allow_impulse else 0.0, gains, r, jacobian, Q, det)
+
+
+def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()) -> Projection | None:
+    """Variable-projection Levenberg-Marquardt refinement of a rate set.
+
+    Optimises log|rate| jointly with every rate's sign fixed and the gains
+    projected out at each iterate (Golub & Pereyra 1973), using Kaufman's
+    (1975) Jacobian.  A step is taken only if it strictly lowers the
+    residual, so the result is never worse than ``rates0``.  Trial rates
+    are clipped to the configured search space, [rate_min, rate_max] in
+    magnitude and the growth cutoff for growing modes; a trial that makes
+    the rate set singular fails like any other.  At most
+    ``cfg.refine_iterations`` trial steps.  Returns None only when
+    ``rates0`` itself is singular.
+    """
+    rates0 = np.asarray(rates0, dtype=float)
+    cur = project(basis, y, rates0, cfg.allow_impulse)
+    if cur is None or not len(rates0):
+        return cur
+    signs, logs = np.sign(rates0), np.log(np.abs(rates0))
+    grow_max = min(cfg.rate_max, _MAX_GROWTH_EXPONENT / float(basis.tau[-1]))
+    hi = np.where(signs < 0, grow_max, cfg.rate_max)
+    log_lo, log_hi = math.log(cfg.rate_min), np.log(hi)
+    lam = 1e-3
+    for _ in range(cfg.refine_iterations):
+        J = cur.jacobian
+        JTJ = J.T @ J
+        try:
+            step = np.linalg.solve(JTJ + lam * np.diag(np.diagonal(JTJ)), -(J.T @ cur.r))
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(step).all():
+            break
+        # clip before exp: each log|rate| moves by at most _MAX_LOG_STEP
+        trial_logs = np.clip(logs + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), log_lo, log_hi)
+        rates = signs * np.clip(np.exp(trial_logs), cfg.rate_min, hi)
+        trial = project(basis, y, rates, cfg.allow_impulse, _SINGULAR_DET)
+        if trial is not None and trial.residual < cur.residual:
+            gain = cur.residual - trial.residual
+            cur, logs = trial, trial_logs
+            lam = max(lam / 10.0, 1e-12)
+            if gain <= _REL_TOL * cur.residual:
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e10:
+                break
+    return cur
+
+
+def extend_rate_set(S: np.ndarray, rates: np.ndarray, prev: Projection) -> np.ndarray | None:
+    """``prev``'s rates plus the candidate rate that lowers the residual most.
+
+    ``S`` holds the candidates' unit-norm responses, one row per entry of
+    ``rates``.  Candidate s lowers ``prev``'s squared residual by
+    (s.r)^2 / (1 - |q's|^2).  Candidates that make the set singular are
+    skipped, and the first of equal candidates wins.  None when every
+    candidate is singular.
+    """
+    SQ = S @ prev.q
+    rest = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
+    ok = prev.det * rest > _SINGULAR_DET
+    if not ok.any():
+        return None
+    drop = np.full(len(rates), -math.inf)
+    drop[ok] = (S[ok] @ prev.r) ** 2 / rest[ok]
+    return np.sort(np.append(prev.rates, rates[int(np.argmax(drop))]))
 
 
 def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -170,7 +359,7 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     With allow_impulse the static baseline is inside the search space
     (the zero-mode candidate), so the returned gof never falls below
     fit_fdp's.  Ties between model orders go to the smaller model;
-    grid ties go to the lexicographically smallest rate vector.
+    grid ties go to the lexicographically first candidate index set.
     """
     t, u, y, dt = _common_grid(run)
     if float(u @ u) == 0.0:
@@ -188,113 +377,68 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         rates += [-r for r in grid if r * span <= _MAX_GROWTH_EXPONENT]
     rates = np.sort(np.asarray(rates))
 
-    # all candidate mode responses at once (batched trapezoid convolution),
-    # normalized so the combination Gram matrices stay well conditioned
-    kernels = np.exp(-np.outer(rates, tau))
-    nfft = 1 << max(2 * len(t) - 1, 2).bit_length()
-    S = np.fft.irfft(np.fft.rfft(kernels, nfft, axis=1) * np.fft.rfft(u, nfft), nfft, axis=1)[:, : len(t)]
-    S -= 0.5 * (kernels[:, :1] * u[None, :] + kernels * u[0])
-    S *= dt
-    norms = np.linalg.norm(S, axis=1)
+    # candidate mode responses, FFT-batched in blocks to bound memory, and
+    # normalised so the combination Gram matrices stay well conditioned
+    basis = ModeBasis(tau, u, dt)
+    offset = 1 if cfg.allow_impulse else 0
+    B = np.empty((offset + len(rates), len(t)))
+    block = max(1, _BLOCK_ELEMENTS // basis.nfft)
+    for lo in range(0, len(rates), block):
+        B[offset + lo : offset + lo + block] = basis.convolve(np.exp(-np.outer(rates[lo : lo + block], tau)))
+    norms = np.linalg.norm(B[offset:], axis=1)
     usable = norms > 0
-    rates, S, norms = rates[usable], S[usable], norms[usable]
-    S /= norms[:, None]
-
-    if cfg.allow_impulse:
-        B = np.vstack([u / np.linalg.norm(u), S])
-        offset = 1
-    else:
-        B, offset = S, 0
+    if not usable.all():
+        rates, norms = rates[usable], norms[usable]
+        B = B[np.concatenate([np.ones(offset, dtype=bool), usable])]
+    B[offset:] /= norms[:, None]
+    if offset:
+        B[0] = u / np.linalg.norm(u)
     G = B @ B.T
     c = B @ y
+    # higher orders also start from the previous order's rates plus one
+    S = B[offset:] if cfg.max_modes >= 2 else None
+    del B
+    min_det = _SINGULAR_DET
+    if cfg.allow_impulse:
+        # the impulse column is in every set: project it out once
+        G, c, yy_rest, g0 = eliminate_first(G, c, yy)
+        min_det /= g0
+    else:
+        yy_rest = yy
     tie_tol = 1e-12 * yy
 
-    def best_grid_combo(k: int) -> tuple[float, np.ndarray] | None:
-        """Lowest-residual rate-index set of size k (first wins exact ties)."""
-        best_res, best_set = math.inf, None
-        for part in _combo_chunks(len(rates), k, 200_000):
-            if offset:
-                sel = np.concatenate([np.zeros((len(part), 1), dtype=np.intp), part + offset], axis=1)
-            else:
-                sel = part
-            if sel.shape[1] == 0:
-                continue
-            Gs = G[sel[:, :, None], sel[:, None, :]]
-            cs = c[sel]
-            res = np.full(len(part), math.inf)
-            ok = np.abs(np.linalg.det(Gs)) > 1e-10
-            if ok.any():
-                theta = np.linalg.solve(Gs[ok], cs[ok][..., None])[..., 0]
-                res[ok] = yy - np.einsum("ij,ij->i", theta, cs[ok])
-            j = int(np.argmin(res))
-            if res[j] < best_res:
-                best_res, best_set = float(res[j]), part[j]
-        if best_set is None:
-            return None
-        return best_res, best_set
-
-    def refine(rates0: list[float]) -> tuple[float, list[float]]:
-        """Coordinate descent over |rate|, golden section within a grid-step bracket."""
-        ratio = 10.0 ** (2.0 / cfg.points_per_decade)
-        cur = list(rates0)
-        cur_res = _solve_gains(cur, tau, u, y, dt, cfg.allow_impulse)[0]
-        for _ in range(cfg.refine_iterations):
-            before = cur_res
-            for i in range(len(cur)):
-                sign = math.copysign(1.0, cur[i])
-
-                def f(mag: float) -> float:
-                    trial = cur[:i] + [sign * mag] + cur[i + 1 :]
-                    return _solve_gains(trial, tau, u, y, dt, cfg.allow_impulse)[0]
-
-                a, b = abs(cur[i]) / ratio, abs(cur[i]) * ratio
-                x1, x2 = b - _GOLD * (b - a), a + _GOLD * (b - a)
-                f1, f2 = f(x1), f(x2)
-                for _ in range(34):
-                    if f1 <= f2:
-                        b, x2, f2 = x2, x1, f1
-                        x1 = b - _GOLD * (b - a)
-                        f1 = f(x1)
-                    else:
-                        a, x1, f1 = x1, x2, f2
-                        x2 = a + _GOLD * (b - a)
-                        f2 = f(x2)
-                mag, val = (x1, f1) if f1 <= f2 else (x2, f2)
-                if val < cur_res:
-                    cur[i], cur_res = sign * mag, val
-            if before - cur_res <= 1e-15 * max(before, 1.0):
-                break
-        return cur_res, cur
-
-    overall_res, overall_rates = math.inf, None
+    best = prev = None
     for k in range(0 if cfg.allow_impulse else 1, cfg.max_modes + 1):
-        found = best_grid_combo(k)
-        if found is None:
+        starts = []
+        found = best_grid_combo(G, c, yy_rest, k, min_det)
+        if found is not None:
+            starts.append(rates[found[1]])
+        if prev is not None and len(prev.rates):
+            seed = extend_rate_set(S, rates, prev)
+            if seed is not None and not any(np.array_equal(seed, s) for s in starts):
+                starts.append(seed)
+        fit = None
+        for start in starts:
+            trial = refine(basis, y, start, cfg)
+            if trial is not None and (fit is None or trial.residual < fit.residual):
+                fit = trial
+        if fit is None:
             continue
-        res, idx_set = found
-        if not math.isfinite(res):
-            continue
-        if k == 0:
-            ref_res, ref_rates = res, []
-        else:
-            ref_res, ref_rates = refine([float(rates[i]) for i in idx_set])
-        if ref_res < overall_res - tie_tol:
-            overall_res, overall_rates = ref_res, ref_rates
-    if overall_rates is None:
+        prev = fit
+        if best is None or fit.residual < best.residual - tie_tol:
+            best = fit
+    if best is None:
         raise ValueError("rate grid exhausted without a finite residual")
-
-    _, impulse, gains = _solve_gains(overall_rates, tau, u, y, dt, cfg.allow_impulse)
-    if not overall_rates and impulse == 0.0:
+    if not len(best.rates) and best.impulse == 0.0:
         raise ValueError("output is orthogonal to every candidate response; nothing to identify")
-    modes = tuple(
-        ExponentialMode(g, r)
-        for g, r in sorted(zip(gains, overall_rates), key=lambda gr: gr[1])
-    )
-    predicted = impulse * u
-    for g, r in zip(gains, overall_rates):
-        predicted = predicted + g * _mode_response(r, tau, u, dt)
+    modes = tuple(ExponentialMode(g, r) for r, g in sorted(zip(best.rates, best.gains)))
+    # one convolution per mode, scaled afterwards: a summed kernel would
+    # carry FFT rounding of its largest gain into every sample
+    predicted = best.impulse * u
+    for m in modes:
+        predicted = predicted + m.gain * trapezoid_convolve(np.exp(-m.decay_rate * tau), u, dt)
     return FitResult(
-        ProductivityFunction(impulse, modes),
+        ProductivityFunction(best.impulse, modes),
         _nrmse(y, predicted),
         float(np.linalg.norm(y - predicted)),
     )

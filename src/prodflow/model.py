@@ -42,6 +42,9 @@ class ExponentialMode:
             raise ValueError(
                 f"decay rate must be finite and nonzero, got {self.decay_rate!r}"
             )
+        # plain floats, so that format_model writes literals parse_model reads
+        object.__setattr__(self, "gain", float(self.gain))
+        object.__setattr__(self, "decay_rate", float(self.decay_rate))
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ class ProductivityFunction:
     def __post_init__(self):
         if not math.isfinite(self.impulse_gain):
             raise ValueError(f"impulse gain must be finite, got {self.impulse_gain!r}")
+        object.__setattr__(self, "impulse_gain", float(self.impulse_gain))
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes and self.impulse_gain == 0.0:
             raise ValueError("empty model: needs an impulse term or at least one mode")

@@ -31,15 +31,10 @@ class ChangeoverOverlapError(ValueError):
 
 @dataclass(frozen=True)
 class SettlingConfig:
-    """Band settings for settling-time measurement.
-
-    step_onset anchors the step in absolute time; settling times are
-    durations measured from it.
-    """
+    """Band settings for settling-time measurement."""
 
     epsilon: float = 0.02
     band_mode: str = "amplitude"
-    step_onset: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -145,12 +140,14 @@ def settling_time(pf: ProductivityFunction, cfg: SettlingConfig = SettlingConfig
     """Settling time of the unit-step response under the configured band.
 
     An impulse-only model settles immediately.  See the module docstring
-    for the two band conventions.
+    for the two band conventions.  Raises ValueError when the settling
+    time, the steady state or the band overflows to a non-finite value;
+    a growing model has no steady state and its amplitude band is NaN.
     """
     ss = steady_state_gain(pf)
     if not pf.modes:
-        return SettlingResult(0.0, ss, ss, ss)
-    if cfg.band_mode == "amplitude":
+        result = SettlingResult(0.0, ss, ss, ss)
+    elif cfg.band_mode == "amplitude":
         slowest = min(pf.modes, key=lambda m: abs(m.decay_rate))
         ts = math.log(1.0 / cfg.epsilon) / abs(slowest.decay_rate)
         if ss is None:
@@ -158,8 +155,15 @@ def settling_time(pf: ProductivityFunction, cfg: SettlingConfig = SettlingConfig
         else:
             half = cfg.epsilon * abs(slowest.gain / slowest.decay_rate)
             lo, hi = ss - half, ss + half
-        return SettlingResult(ts, ss, lo, hi)
-    return _settle_final_band(pf, cfg, ss)
+        result = SettlingResult(ts, ss, lo, hi)
+    else:
+        result = _settle_final_band(pf, cfg, ss)
+    checked = [result.settling_time]
+    if ss is not None:
+        checked += [ss, result.band_low, result.band_high]
+    if not all(math.isfinite(x) for x in checked):
+        raise ValueError("settling time, steady state or band overflows; model values are out of range")
+    return result
 
 
 def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float | None) -> SettlingResult:
@@ -176,6 +180,8 @@ def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float 
         # response never leaves the band
         return SettlingResult(0.0, ss, ss - half, ss + half, 0.0)
     horizon = 1.1 * max(math.log(total_amp / half) / rate_min, ts_guess)
+    if not math.isfinite(horizon):
+        raise ValueError("settling-time search horizon overflows; model values are out of range")
     step = ts_guess / 1e4
     t = uniform_grid(0.0, horizon, step)
     outside = np.abs(step_values(pf, t) - ss) > half

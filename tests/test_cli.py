@@ -51,6 +51,15 @@ class TestSettle:
         assert rc == 1
         assert "stable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("band", ["amplitude", "final"])
+    def test_overflowing_model_is_user_error(self, tmp_path, capsys, band):
+        model = tmp_path / "m.txt"
+        model.write_text("exp 1e308 1e-308\n")
+        assert run_cli("settle", "--model", str(model), "--band", band) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
+
     def test_missing_file(self, capsys):
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
         assert "file" in capsys.readouterr().err.lower()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,15 @@ from prodflow import (
     goodness_of_fit,
     step_response,
 )
-from prodflow.identify import rate_grid
+from prodflow.identify import (
+    ModeBasis,
+    best_grid_combo,
+    eliminate_first,
+    extend_rate_set,
+    project,
+    rate_grid,
+    refine,
+)
 from expected import P1
 
 # coarse grid keeps unit tests quick; the acceptance suite runs the default
@@ -207,6 +216,18 @@ class TestFitProductivity:
         assert len(result.model.modes) <= 3
         assert result.gof > 0.9999
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_sample_input_never_worse_than_fdp(self, seed):
+        # fast modes respond to a lone input sample with spikes far below
+        # the FFT rounding floor, so their fitted gains are huge; the
+        # prediction must still match the residual the search minimised
+        rng = np.random.default_rng(seed)
+        t = 0.0867 * np.arange(76)
+        u = np.where(t == 0.0, 1.0, 0.0)
+        run = ProcessRun(TimeSeries(t, u), TimeSeries(t, rng.standard_normal(76)), 7.0)
+        result = fit_productivity(run, FitConfig(points_per_decade=6))
+        assert result.gof >= fit_fdp(run).gof - 1e-12
+
     def test_mismatched_grids_are_resampled(self):
         t_in = np.arange(0.0, 10.0 + 1e-9, 0.1)
         t_out = np.arange(0.0, 10.0 + 1e-9, 0.15)
@@ -244,3 +265,137 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
+
+
+def brute_force_combo(G, c, yy, k):
+    """Reference scan: one np.linalg.solve per index set, first set wins ties."""
+    best_res, best_set = math.inf, None
+    for S in itertools.combinations(range(len(c)), k):
+        idx = list(S)
+        Gs = G[np.ix_(idx, idx)]
+        if abs(np.linalg.det(Gs)) <= 1e-10:
+            continue
+        res = yy - float(c[idx] @ np.linalg.solve(Gs, c[idx]))
+        if res < best_res:
+            best_res, best_set = res, S
+    return best_res, best_set
+
+
+def gram_system(rows, y):
+    B = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return B @ B.T, B @ y, float(y @ y)
+
+
+class TestGridScan:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_brute_force(self, seed, k):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((9, 40))
+        y = rows[2] - 0.5 * rows[6] + 0.3 * rng.standard_normal(40)
+        G, c, yy = gram_system(rows, y)
+        res, idx = best_grid_combo(G, c, yy, k)
+        ref_res, ref_set = brute_force_combo(G, c, yy, k)
+        assert tuple(idx) == ref_set
+        assert res == pytest.approx(ref_res, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_eliminating_the_first_unknown_keeps_the_scan(self, seed, k):
+        # the impulse column is index 0 of every set of the full system
+        rng = np.random.default_rng(100 + seed)
+        rows = rng.standard_normal((8, 30))
+        y = 0.7 * rows[0] + rows[3] + 0.2 * rng.standard_normal(30)
+        G, c, yy = gram_system(rows, y)
+        Gr, cr, yyr, g0 = eliminate_first(G, c, yy)
+        res, idx = best_grid_combo(Gr, cr, yyr, k, 1e-10 / g0)
+        best_res, best_set = math.inf, None
+        for S in itertools.combinations(range(1, len(c)), k):
+            idx_full = [0, *S]
+            Gs = G[np.ix_(idx_full, idx_full)]
+            if abs(np.linalg.det(Gs)) > 1e-10:
+                r = yy - float(c[idx_full] @ np.linalg.solve(Gs, c[idx_full]))
+                if r < best_res:
+                    best_res, best_set = r, S
+        assert tuple(int(i) + 1 for i in idx) == best_set
+        assert res == pytest.approx(best_res, rel=1e-9)
+
+    def test_exact_tie_goes_to_the_first_set(self):
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((6, 25))
+        rows[3] = rows[1]  # candidates 1 and 3 are the same response
+        y = rows[1] + 0.4 * rows[4] + 0.1 * rng.standard_normal(25)
+        G, c, yy = gram_system(rows, y)
+        assert tuple(best_grid_combo(G, c, yy, 1)[1]) == (1,) == brute_force_combo(G, c, yy, 1)[1]
+        # (1, 4) and (3, 4) score bit for bit the same; (1, 3) is singular
+        res, idx = best_grid_combo(G, c, yy, 2)
+        assert tuple(idx) == (1, 4) == brute_force_combo(G, c, yy, 2)[1]
+
+    def test_all_singular_is_none(self):
+        rows = np.tile(np.linspace(1.0, 2.0, 10), (3, 1))
+        G, c, yy = gram_system(rows, np.ones(10))
+        assert best_grid_combo(G, c, yy, 2) is None
+
+
+class TestRefine:
+    PF = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3), ExponentialMode(-0.5, 2.0)))
+
+    def record(self, dt=0.05, n=400):
+        t = dt * np.arange(n)
+        u = np.where(t >= 1.0, 1.0 + 0.2 * np.sin(0.7 * t), 0.0)
+        from prodflow import simulate_response
+
+        y = simulate_response(self.PF, TimeSeries(t, u), dt).values
+        return ModeBasis(t, u, dt), y
+
+    def test_recovers_noise_free_two_mode_model(self):
+        basis, y = self.record()
+        fit = refine(basis, y, [0.22, 2.9])
+        assert fit.rates == pytest.approx([0.3, 2.0], rel=1e-8)
+        assert fit.gains == pytest.approx([1.0, -0.5], rel=1e-8)
+        assert fit.impulse == pytest.approx(0.4, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "start", [[0.22, 2.9], [0.01, 50.0], [0.5, 0.51], [-0.02, 1.0], [3.0], [-0.1], [0.05, 0.3, 5.0]]
+    )
+    @pytest.mark.parametrize("iterations", [0, 1, 5, 50])
+    def test_never_above_the_start(self, start, iterations):
+        basis, y = self.record(dt=0.1, n=200)
+        y = y + 0.02 * np.random.default_rng(1).standard_normal(len(y))
+        start_res = project(basis, y, np.array(start), True).residual
+        fit = refine(basis, y, start, FitConfig(refine_iterations=iterations))
+        assert fit.residual <= start_res
+        assert np.all(np.sign(fit.rates) == np.sign(start))
+        assert np.all((1e-3 <= np.abs(fit.rates)) & (np.abs(fit.rates) <= 1e3))
+        if iterations == 0:
+            assert fit.residual == start_res
+
+    def test_extend_rate_set_matches_brute_force(self):
+        basis, y = self.record(dt=0.1, n=200)
+        y = y + 0.02 * np.random.default_rng(2).standard_normal(len(y))
+        prev = project(basis, y, np.array([0.35]), True)
+        cands = np.array([-0.05, 0.01, 0.1, 0.35, 1.0, 2.5, 9.0])
+        S = basis.convolve(np.exp(-np.outer(cands, basis.tau)))
+        S /= np.linalg.norm(S, axis=1)[:, None]
+        # the candidate equal to the previous rate is singular and skipped
+        ref = min((project(basis, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
+        assert list(extend_rate_set(S, cands, prev)) == sorted([0.35, ref[1]])
+
+    def test_growing_mode_stays_within_the_cutoff(self):
+        basis, y = self.record(dt=0.1, n=200)
+        # the best fit, rate -9, lies past the cutoff of 150 / span = 7.5
+        fit = refine(basis, np.exp(9.0 * basis.tau), [-1.0])
+        assert 140.0 < abs(fit.rates[0]) * basis.tau[-1] <= 150.0 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed,start", [(0, [0.02, 0.3]), (2, [0.3, 5.0])])
+    def test_rates_stay_in_the_configured_range(self, seed, start):
+        # one true mode fitted with two: unbounded, the spare mode drifts
+        # to rate 0 (seed 0) or to 85 (seed 2)
+        basis, _ = self.record(dt=0.1, n=200)
+        one = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3),))
+        from prodflow import simulate_response
+
+        y = simulate_response(one, TimeSeries(basis.tau, basis.u), 0.1).values
+        y = y + 0.01 * np.random.default_rng(seed).standard_normal(len(y))
+        fit = refine(basis, y, start, FitConfig(rate_min=0.01, rate_max=10.0))
+        assert np.all((0.01 <= fit.rates) & (fit.rates <= 10.0))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
@@ -78,6 +79,13 @@ class TestFormat:
     @given(models())
     def test_round_trip_any_model(self, pf):
         assert parse_model(format_model(pf)) == pf
+
+    def test_numpy_scalars_round_trip(self):
+        pf = ProductivityFunction(np.float64(1.5), (ExponentialMode(np.float64(-0.25), np.float64(0.5)),))
+        text = format_model(pf)
+        assert text == "impulse 1.5\nexp -0.25 0.5\n"
+        assert parse_model(text) == pf
+        assert type(pf.impulse_gain) is float and type(pf.modes[0].decay_rate) is float
 
 
 class TestSteadyStateGain:
