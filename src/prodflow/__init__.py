@@ -39,47 +39,3 @@ from .svgplot import emit_step_plot
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExponentialMode",
-    "ModelFormatError",
-    "ProcessRun",
-    "ProductivityFunction",
-    "TimeSeries",
-    "format_model",
-    "is_stable",
-    "parse_model",
-    "steady_state_gain",
-    "ChangeoverOverlapError",
-    "ChangeoverStages",
-    "SettlingConfig",
-    "SettlingResult",
-    "classify_steadiness",
-    "percentile_reaction_time",
-    "segment_changeover",
-    "settling_time",
-    "simulate_response",
-    "step_response",
-    "ProcessMetrics",
-    "SpecLimits",
-    "classify_variability",
-    "coefficient_of_variation",
-    "process_capability_index",
-    "process_performance",
-    "sample_metrics",
-    "ChainNode",
-    "ChainResult",
-    "propagate_chain",
-    "propagate_one",
-    "FdpFit",
-    "FitConfig",
-    "FitResult",
-    "fit_fdp",
-    "fit_productivity",
-    "goodness_of_fit",
-    "CaseRecord",
-    "ReportRow",
-    "build_report",
-    "spearman_rank",
-    "write_report_csv",
-    "emit_step_plot",
-]

@@ -17,7 +17,7 @@ from .identify import FitConfig, fit_fdp, fit_productivity
 from .ingest import ingest_cases, ingest_run, load_model, read_chain_csv, read_sample_csv, write_run_csv
 from .flowchain import propagate_chain
 from .model import format_model, is_stable
-from .report import build_report, write_report_csv
+from .report import build_report, spearman_rank, write_report_csv
 from .spc import SpecLimits, sample_metrics
 from .svgplot import emit_step_plot
 from .transient import SettlingConfig, classify_steadiness, percentile_reaction_time, settling_time, step_response
@@ -33,6 +33,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float option: a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="prodflow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"prodflow {__version__}")
@@ -40,28 +51,28 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("step", help="sample a model's unit-step response")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--horizon", required=True, type=float, help="last sample time")
-    p.add_argument("--dt", required=True, type=float, help="sample step")
+    p.add_argument("--horizon", required=True, type=_finite, help="last sample time")
+    p.add_argument("--dt", required=True, type=_finite, help="sample step")
     p.add_argument("--out", required=True, help="output run CSV (t,u,y with u=1)")
     p.add_argument("--svg", help="also plot the response to this SVG file")
     p.set_defaults(func=_cmd_step)
 
     p = sub.add_parser("settle", help="settling time and steadiness of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=float, default=0.02, help="band half-width fraction")
+    p.add_argument("--epsilon", type=_finite, default=0.02, help="band half-width fraction")
     p.add_argument("--band", choices=["amplitude", "final"], default="amplitude")
-    p.add_argument("--total-time", type=float, help="total process time, enables reaction %%")
+    p.add_argument("--total-time", type=_finite, help="total process time, enables reaction %%")
     p.set_defaults(func=_cmd_settle)
 
     p = sub.add_parser("metrics", help="capability/variability statistics of a sample CSV")
     p.add_argument("--sample", required=True, help="CSV with header 'y'")
-    p.add_argument("--usl", type=float, help="upper specification limit")
-    p.add_argument("--lsl", type=float, help="lower specification limit")
+    p.add_argument("--usl", type=_finite, help="upper specification limit")
+    p.add_argument("--lsl", type=_finite, help="lower specification limit")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("chain", help="propagate flow variability down a chain CSV")
     p.add_argument("--spec", required=True, help="CSV with header 'u,ce', one station per row")
-    p.add_argument("--ca0", required=True, type=float, help="arrival CV at the first station")
+    p.add_argument("--ca0", required=True, type=_finite, help="arrival CV at the first station")
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("fit", help="fit a productivity function to a recorded run")
@@ -76,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cases", required=True, help="directory of case subdirectories")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--plot", help="also write the step responses to this SVG file")
-    p.add_argument("--epsilon", type=float, default=0.02)
+    p.add_argument("--epsilon", type=_finite, default=0.02)
     p.add_argument("--band", choices=["amplitude", "final"], default="amplitude")
     p.set_defaults(func=_cmd_report)
     return parser
@@ -162,6 +173,14 @@ def _cmd_report(args) -> int:
     for row in rows:
         if row.note:
             print(f"note [{row.name}]: {row.note}")
+    # the rank correlations only when every case has a settling time and metrics
+    frac = [row.reaction_fraction for row in rows]
+    try:
+        rhos = [(key, spearman_rank(frac, [getattr(row, key) for row in rows])) for key in ("cv", "cpk", "pp")]
+    except ValueError:
+        rhos = []
+    for key, rho in rhos:
+        print(f"spearman(ts/tt, {key}): {rho:+.4f}")
     if args.plot:
         by_name = {c.name: c for c in cases}
         curves = []

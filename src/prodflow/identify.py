@@ -142,21 +142,18 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
 class ModeBasis:
     """Trapezoid-rule responses of exponential kernels to one recorded input.
 
-    The input's FFT is taken once; every call convolves a batch of kernels
-    sampled on ``tau`` with it, with the weights of ``trapezoid_convolve``.
+    Holds the record's lag times ``tau``, input ``u`` and step ``dt``, and
+    the FFT length ``nfft`` that ``trapezoid_convolve`` pads to, which
+    sizes the blocks of candidate responses.
     """
 
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
         self.tau, self.u, self.dt = tau, u, dt
         self.nfft = 1 << max(2 * len(u) - 1, 2).bit_length()
-        self.U = np.fft.rfft(u, self.nfft)
 
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
-        n = len(self.u)
-        out = np.fft.irfft(np.fft.rfft(kernels, self.nfft, axis=1) * self.U, self.nfft, axis=1)[:, :n]
-        out -= 0.5 * (kernels[:, :1] * self.u + kernels * self.u[0])
-        out *= self.dt
-        return out
+        """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
+        return trapezoid_convolve(kernels, self.u, self.dt)
 
 
 def eliminate_first(G: np.ndarray, c: np.ndarray, yy: float) -> tuple[np.ndarray, np.ndarray, float, float]:

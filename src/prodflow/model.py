@@ -163,16 +163,16 @@ def parse_model(text: str) -> ProductivityFunction:
                 raise ModelFormatError("exp takes a gain and a decay rate", lineno)
             gain = _parse_real(parts[1], lineno)
             rate = _parse_real(parts[2], lineno)
-            if rate == 0.0:
-                raise ModelFormatError("decay rate must be nonzero", lineno)
-            modes.append(ExponentialMode(gain, rate))
+            try:
+                modes.append(ExponentialMode(gain, rate))
+            except ValueError as exc:
+                raise ModelFormatError(str(exc), lineno) from None
         else:
             raise ModelFormatError(f"unknown directive {parts[0]!r}", lineno)
-    if impulse is None:
-        impulse = 0.0
-    if not modes and impulse == 0.0:
-        raise ModelFormatError("empty model: needs an impulse term or at least one mode")
-    return ProductivityFunction(impulse, tuple(modes))
+    try:
+        return ProductivityFunction(0.0 if impulse is None else impulse, tuple(modes))
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def _parse_real(token: str, lineno: int) -> float:

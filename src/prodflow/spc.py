@@ -36,13 +36,25 @@ class ProcessMetrics:
     variability_class: str
 
 
-def _as_sample(values) -> np.ndarray:
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation of a validated, non-constant sample."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("sample must be a 1-d sequence with at least 2 values")
     if not np.isfinite(v).all():
         raise ValueError("sample values must be finite")
-    return v
+    s = float(v.std(ddof=1))
+    if s == 0.0:
+        raise ValueError("sample standard deviation is zero")
+    return float(v.mean()), s
+
+
+def _cpk(mean: float, s: float, limits: SpecLimits) -> float:
+    return min((limits.usl - mean) / (3.0 * s), (mean - limits.lsl) / (3.0 * s))
+
+
+def _pp(s: float, limits: SpecLimits) -> float:
+    return (limits.usl - limits.lsl) / (6.0 * s)
 
 
 def default_limits(mean: float) -> SpecLimits:
@@ -55,23 +67,14 @@ def default_limits(mean: float) -> SpecLimits:
 
 def process_capability_index(values, limits: SpecLimits) -> float:
     """Cpk: the tighter of the two one-sided margins in units of 3 sigma."""
-    v = _as_sample(values)
-    s = float(v.std(ddof=1))
-    if s == 0.0:
-        raise ValueError("sample standard deviation is zero")
-    m = float(v.mean())
-    return min((limits.usl - m) / (3.0 * s), (m - limits.lsl) / (3.0 * s))
+    mean, s = _mean_std(values)
+    return _cpk(mean, s, limits)
 
 
 def process_performance(values, limits: SpecLimits | None = None) -> float:
     """Pp: the specification width in units of 6 sigma; default limits mean +/- 2%."""
-    v = _as_sample(values)
-    s = float(v.std(ddof=1))
-    if s == 0.0:
-        raise ValueError("sample standard deviation is zero")
-    if limits is None:
-        limits = default_limits(float(v.mean()))
-    return (limits.usl - limits.lsl) / (6.0 * s)
+    mean, s = _mean_std(values)
+    return _pp(s, limits if limits is not None else default_limits(mean))
 
 
 def coefficient_of_variation(sigma_d: float, rate_d: float) -> float:
@@ -93,17 +96,18 @@ def classify_variability(cv: float) -> str:
 
 
 def sample_metrics(values, limits: SpecLimits | None = None) -> ProcessMetrics:
-    """All capability and variability statistics of one output sample."""
-    v = _as_sample(values)
-    sigma = float(v.std(ddof=1))
-    if sigma == 0.0:
-        raise ValueError("sample standard deviation is zero")
-    mean = float(v.mean())
+    """All capability and variability statistics of one output sample.
+
+    A negative mean is rejected: the CV of a negative output is undefined.
+    """
+    mean, sigma = _mean_std(values)
+    if mean < 0.0:
+        raise ValueError(f"sample mean is negative ({mean!r}); the CV is undefined")
     lims = limits if limits is not None else default_limits(mean)
     cv = coefficient_of_variation(sigma, mean)
     return ProcessMetrics(
-        cpk=process_capability_index(v, lims),
-        pp=process_performance(v, lims),
+        cpk=_cpk(mean, sigma, lims),
+        pp=_pp(sigma, lims),
         sigma_d=sigma,
         rate_d=mean,
         cv=cv,

@@ -98,14 +98,18 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
 def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """Discrete convolution integral of kernel with u on a uniform grid.
 
-    Trapezoidal weights: the rectangle-rule convolution minus half of the
-    two endpoint products, times dt.  FFT-based so long records stay fast.
+    ``kernel`` is one kernel sampled like ``u``, or a stack of them along
+    the leading axes; each is convolved along the last axis.  Trapezoidal
+    weights: the rectangle-rule convolution minus half of the two endpoint
+    products, times dt, both applied in place.  FFT-based so long records
+    stay fast.
     """
     n = len(u)
     m = 1 << max(2 * n - 1, 2).bit_length()
-    full = np.fft.irfft(np.fft.rfft(kernel, m) * np.fft.rfft(u, m), m)[:n]
-    full -= 0.5 * (kernel[0] * u + kernel * u[0])
-    return full * dt
+    full = np.fft.irfft(np.fft.rfft(kernel, m) * np.fft.rfft(u, m), m)[..., :n]
+    full -= 0.5 * (kernel[..., :1] * u + kernel * u[0])
+    full *= dt
+    return full
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -120,12 +121,61 @@ class TestReport:
         assert plot.read_text().count("<polyline") == 5
         notes = capsys.readouterr().out
         assert "note [Case 5]" in notes and "1.23" in notes
+        assert notes.splitlines()[-3:] == [
+            "spearman(ts/tt, cv): +1.0000",
+            "spearman(ts/tt, cpk): -1.0000",
+            "spearman(ts/tt, pp): -1.0000",
+        ]
+        # the checked-in outputs are exactly what this command writes
+        shipped = cases_dir.parent / "out"
+        assert out.read_bytes() == (shipped / "flow_table.csv").read_bytes()
+        assert plot.read_bytes() == (shipped / "step_responses.svg").read_bytes()
+
+    def test_no_rank_summary_without_metrics(self, cases_dir, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        shutil.copytree(cases_dir, cases)
+        (cases / "case6").mkdir()
+        (cases / "case6/model.txt").write_text("impulse 1.5\n")
+        (cases / "case6/case.txt").write_text("name = Case 6\ntt = 10\nmodel = model.txt\n")
+        out, plot = tmp_path / "r.csv", tmp_path / "r.svg"
+        rc = run_cli("report", "--cases", str(cases), "--out", str(out), "--plot", str(plot))
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 1 + 6
+        assert plot.read_text().count("<polyline") == 6
+        assert "spearman" not in capsys.readouterr().out
 
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("step", "--model", "M", "--dt", "0.5", "--out", "OUT", "--horizon"),
+            ("step", "--model", "M", "--horizon", "5", "--out", "OUT", "--dt"),
+            ("settle", "--model", "M", "--epsilon"),
+            ("settle", "--model", "M", "--total-time"),
+            ("metrics", "--sample", "S", "--lsl", "8", "--usl"),
+            ("metrics", "--sample", "S", "--usl", "12", "--lsl"),
+            ("chain", "--spec", "C", "--ca0"),
+            ("report", "--cases", "CASES", "--out", "OUT", "--epsilon"),
+        ],
+    )
+    def test_non_finite_float_option_is_usage_error(self, cases_dir, tmp_path, capsys, argv, value):
+        sample, spec = tmp_path / "s.csv", tmp_path / "chain.csv"
+        sample.write_text("y\n9\n10\n11\n")
+        spec.write_text("u,ce\n0.8,0.6\n")
+        paths = {"M": cases_dir / "case1/model.txt", "S": sample, "C": spec,
+                 "CASES": cases_dir, "OUT": tmp_path / "out.csv"}
+        # "--opt=-inf", since argparse reads a bare "-inf" as an option name
+        assert run_cli(*[str(paths.get(a, a)) for a in argv[:-1]], f"{argv[-1]}={value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "not a finite number" in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_usage_error_is_one(self, capsys):
         assert run_cli("settle") == 1  # missing --model
         assert "model" in capsys.readouterr().err

@@ -99,6 +99,17 @@ class TestSampleMetrics:
         m = sample_metrics([3.0, 5.0, 9.0, 2.0], SpecLimits(10.0, 1.0))
         assert m.cv == coefficient_of_variation(m.sigma_d, m.rate_d)
 
+    def test_capability_fields_equal_standalone_functions(self):
+        v, lims = [3.0, 5.0, 9.0, 2.0, 7.1], SpecLimits(10.0, 1.0)
+        m = sample_metrics(v, lims)
+        assert m.cpk == process_capability_index(v, lims)
+        assert m.pp == process_performance(v, lims)
+
+    @pytest.mark.parametrize("limits", [None, SpecLimits(-8.0, -14.0)])
+    def test_negative_mean_rejected(self, limits):
+        with pytest.raises(ValueError, match="sample mean is negative.*CV is undefined"):
+            sample_metrics([-10.0, -11.0, -12.0], limits)
+
     @given(
         st.lists(st.floats(0.1, 100), min_size=3, max_size=20).filter(lambda v: max(v) > min(v)),
         st.floats(0.01, 100),

@@ -35,7 +35,7 @@ from expected import (
     TS_CASE3,
     TS_CASE4,
 )
-from prodflow.transient import step_values
+from prodflow.transient import step_values, trapezoid_convolve
 
 
 def unit_step(horizon: float, dt: float) -> TimeSeries:
@@ -118,6 +118,20 @@ class TestSimulateResponse:
         inp = unit_step(15000.0, 10.0)
         with pytest.raises(ValueError, match="overflow"):
             simulate_response(P2_GROWING, inp, 10.0)
+
+
+class TestTrapezoidConvolve:
+    @pytest.mark.parametrize("n", [2, 3, 200, 1001])
+    def test_matches_direct_sum_and_stacks_row_by_row(self, n):
+        rng = np.random.default_rng(n)
+        u, kernels, dt = rng.normal(size=n), rng.normal(size=(3, n)), 0.1
+        stacked = trapezoid_convolve(kernels, u, dt)
+        for kernel, row in zip(kernels, stacked):
+            # the trapezoid rule term by term, as the reference
+            direct = [dt * (np.dot(kernel[: k + 1], u[k::-1]) - 0.5 * (kernel[0] * u[k] + kernel[k] * u[0]))
+                      for k in range(n)]
+            np.testing.assert_allclose(trapezoid_convolve(kernel, u, dt), direct, rtol=0, atol=1e-12 * n)
+            assert np.array_equal(row, trapezoid_convolve(kernel, u, dt))
 
 
 class TestSettlingTime:
