@@ -203,7 +203,7 @@ def main(argv=None) -> int:
         return exc.code or 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -39,7 +39,12 @@ def propagate_one(ca: float, node: ChainNode) -> float:
     if ca < 0:
         raise ValueError(f"arrival CV must be nonnegative, got {ca!r}")
     u2 = node.utilization * node.utilization
-    return math.sqrt(u2 * node.cv_effective**2 + (1.0 - u2) * ca * ca)
+    # an idle station passes its arrivals on, however large its ce
+    ce2 = node.cv_effective * node.cv_effective if u2 else 0.0
+    cd = math.sqrt(u2 * ce2 + (1.0 - u2) * ca * ca)
+    if not math.isfinite(cd):
+        raise ValueError(f"departure CV is not finite: u={node.utilization!r}, ce={node.cv_effective!r}, ca={ca!r}")
+    return cd
 
 
 def propagate_chain(ca0: float, nodes: Sequence[ChainNode]) -> ChainResult:

@@ -8,17 +8,18 @@ Two estimators:
 * ``fit_productivity`` searches for an impulse-plus-exponential-sum kernel
   whose simulated response to the recorded input best matches the recorded
   output (output-error least squares).  Decay rates come from a geometric
-  candidate grid (optionally mirrored to negative, growing rates); for
-  every rate combination the gains and the impulse gain are a linear
-  least-squares solve, scored in closed form for one and two modes.  The
-  grid's best rate set of each order is the one with the lowest residual;
-  exact ties go to the lexicographically first index set.  That set, and
-  from two modes up also the previous order's refined rates plus the best
-  added candidate, are refined by variable projection (Golub & Pereyra
-  1973): Levenberg-Marquardt over log|rate| with every sign fixed, the
-  gains projected out at each iterate and Kaufman's (1975) Jacobian.  The
-  lower refined residual wins, the grid start on a tie.  Between orders
-  the lowest residual wins, and ties go to the smaller model.  The whole
+  candidate grid (optionally mirrored to negative, growing rates).  Each
+  model order grows from the lower ones by forward selection (orthogonal
+  least squares; Chen, Billings & Luo 1989): order k starts from the
+  order k-2 fit plus the best pair of candidates and from the order k-1
+  fit plus the best single candidate, each scored in closed form against
+  that fit's projection, the first candidate set winning exact ties.  Both
+  starts are refined by variable projection (Golub & Pereyra 1973):
+  Levenberg-Marquardt over log|rate| with every sign fixed, the gains
+  projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
+  refined residual wins, the pair start on a tie.  Between orders the
+  lowest residual wins, and ties go to the smaller model.  Each order
+  costs O(R^2 n) for R candidates and n samples, whatever k.  The whole
   procedure is deterministic: same run and config, same model.
 
 Goodness of fit is NRMSE, 1 - ||y - yhat|| / ||y - mean(y)||: 1 is an
@@ -27,7 +28,6 @@ exact match, 0 means no better than the mean.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,14 +40,15 @@ from .transient import trapezoid_convolve
 # normal equations well before they could ever be a sane fit
 _MAX_GROWTH_EXPONENT = 150.0
 # a normalised Gram determinant at or below this marks a rate set as
-# singular, in the grid search and in refinement alike
+# singular, in the search and in refinement alike
 _SINGULAR_DET = 1e-10
 # refinement stops once an accepted step gains less than this fraction
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
-# float64 elements per FFT block when building the candidate responses
-_BLOCK_ELEMENTS = 1 << 22
+# float64 elements per FFT block when building the candidate responses;
+# small blocks keep the allocator from holding freed FFT buffers resident
+_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -154,72 +155,6 @@ class ModeBasis:
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
         """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
         return trapezoid_convolve(kernels, self.u, self.dt)
-
-
-def eliminate_first(G: np.ndarray, c: np.ndarray, yy: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Gram system of the other unknowns with the first one projected out.
-
-    Schur complement of G[0, 0]: for any index set S of the rest, the
-    residual of S plus the first unknown equals the reduced system's
-    residual of S, and the full determinant is G[0, 0] times the reduced
-    one.  Returns (G', c', yy', G[0, 0]).
-    """
-    g0, a = float(G[0, 0]), G[1:, 0]
-    return G[1:, 1:] - np.outer(a, a) / g0, c[1:] - a * (c[0] / g0), yy - float(c[0]) ** 2 / g0, g0
-
-
-def _combo_chunks(n: int, k: int, chunk: int):
-    """Size-k index combinations in lexicographic order, as (rows, k) blocks.
-
-    Streamed so that large k never materializes the whole combination set.
-    """
-    it = itertools.combinations(range(n), k)
-    while block := list(itertools.islice(it, chunk)):
-        yield np.array(block, dtype=np.intp)
-
-
-def best_grid_combo(
-    G: np.ndarray, c: np.ndarray, yy: float, k: int, min_det: float = _SINGULAR_DET
-) -> tuple[float, np.ndarray] | None:
-    """Lowest-residual size-k index set of a Gram system.
-
-    The residual of a set S is yy - c_S' G_SS^-1 c_S; sets with
-    |det G_SS| <= min_det are singular and skipped.  One and two indices
-    are scored in closed form, larger sets by batched solves.  Sets are
-    visited in lexicographic order and the first wins exact ties.
-    Returns (residual, indices), or None when every set is singular.
-    """
-    if k == 0:
-        return yy, np.empty(0, dtype=np.intp)
-    if k <= 2:
-        d = np.diagonal(G)
-        if k == 1:
-            det, num = d, c * c
-        else:
-            i, j = np.triu_indices(len(c), 1)
-            gij, ci, cj = G[i, j], c[i], c[j]
-            det = d[i] * d[j] - gij * gij
-            num = d[j] * ci * ci - 2.0 * gij * ci * cj + d[i] * cj * cj
-        ok = np.abs(det) > min_det
-        res = np.full(len(det), math.inf)
-        res[ok] = yy - num[ok] / det[ok]
-        best = int(np.argmin(res))
-        if not math.isfinite(res[best]):
-            return None
-        return float(res[best]), (np.array([best]) if k == 1 else np.array([i[best], j[best]]))
-    best_res, best_set = math.inf, None
-    for part in _combo_chunks(len(c), k, 200_000):
-        Gs = G[part[:, :, None], part[:, None, :]]
-        cs = c[part]
-        res = np.full(len(part), math.inf)
-        ok = np.abs(np.linalg.det(Gs)) > min_det
-        if ok.any():
-            theta = np.linalg.solve(Gs[ok], cs[ok][..., None])[..., 0]
-            res[ok] = yy - np.einsum("ij,ij->i", theta, cs[ok])
-        j = int(np.argmin(res))
-        if res[j] < best_res:
-            best_res, best_set = float(res[j]), part[j]
-    return None if best_set is None else (best_res, best_set)
 
 
 @dataclass(frozen=True)
@@ -331,32 +266,50 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
     return cur
 
 
-def extend_rate_set(S: np.ndarray, rates: np.ndarray, prev: Projection) -> np.ndarray | None:
-    """``prev``'s rates plus the candidate rate that lowers the residual most.
+def extend_rate_set(S: np.ndarray, rates: np.ndarray, prev: Projection, m: int = 1) -> np.ndarray | None:
+    """``prev``'s rates plus the ``m`` in {1, 2} candidates that lower the residual most.
 
     ``S`` holds the candidates' unit-norm responses, one row per entry of
-    ``rates``.  Candidate s lowers ``prev``'s squared residual by
-    (s.r)^2 / (1 - |q's|^2).  Candidates that make the set singular are
-    skipped, and the first of equal candidates wins.  None when every
-    candidate is singular.
+    ``rates``.  Against ``prev``'s projection candidate s has residual
+    correlation c = s.r and squared norm d = 1 - |q's|^2, and it lowers the
+    squared residual by c^2 / d.  A pair lowers it by c' D^-1 c, where D is
+    the pair's block of the reduced Gram matrix S S' - (S q)(S q)'.  Sets
+    with prev.det * det <= _SINGULAR_DET are singular and skipped, and the
+    first set in lexicographic order wins exact ties.  None when every set
+    is singular.
     """
     SQ = S @ prev.q
-    rest = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
-    ok = prev.det * rest > _SINGULAR_DET
+    c = S @ prev.r
+    if m == 1:
+        det = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
+        num = c * c
+    else:
+        D = S @ S.T
+        D -= SQ @ SQ.T
+        i, j = np.triu_indices(len(rates), 1)
+        d, dij = np.diagonal(D), D[i, j]
+        det = d[i] * d[j] - dij * dij
+        num = d[j] * c[i] * c[i] - 2.0 * dij * c[i] * c[j] + d[i] * c[j] * c[j]
+    ok = prev.det * det > _SINGULAR_DET
     if not ok.any():
         return None
-    drop = np.full(len(rates), -math.inf)
-    drop[ok] = (S[ok] @ prev.r) ** 2 / rest[ok]
-    return np.sort(np.append(prev.rates, rates[int(np.argmax(drop))]))
+    drop = np.full(len(det), -math.inf)
+    drop[ok] = num[ok] / det[ok]
+    best = int(np.argmax(drop))
+    added = rates[best] if m == 1 else rates[[i[best], j[best]]]
+    return np.sort(np.append(prev.rates, added))
 
 
 def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult:
     """Best impulse-plus-exponential-sum model for a recorded run.
 
-    With allow_impulse the static baseline is inside the search space
-    (the zero-mode candidate), so the returned gof never falls below
-    fit_fdp's.  Ties between model orders go to the smaller model;
-    grid ties go to the lexicographically first candidate index set.
+    Order 0 is the impulse alone (no term at all without allow_impulse).
+    Order k refines two starts, in this order: the best candidate pair
+    added to the order k-2 fit and the best single candidate added to the
+    order k-1 fit (``extend_rate_set``); the lower refined residual wins,
+    the first start on a tie.  With allow_impulse the static baseline is
+    inside the search space (order 0), so the returned gof never falls
+    below fit_fdp's.  Ties between model orders go to the smaller model.
     """
     t, u, y, dt = _common_grid(run)
     if float(u @ u) == 0.0:
@@ -375,43 +328,24 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     rates = np.sort(np.asarray(rates))
 
     # candidate mode responses, FFT-batched in blocks to bound memory, and
-    # normalised so the combination Gram matrices stay well conditioned
+    # normalised so the reduced Gram matrices stay well conditioned
     basis = ModeBasis(tau, u, dt)
-    offset = 1 if cfg.allow_impulse else 0
-    B = np.empty((offset + len(rates), len(t)))
+    S = np.empty((len(rates), len(t)))
     block = max(1, _BLOCK_ELEMENTS // basis.nfft)
     for lo in range(0, len(rates), block):
-        B[offset + lo : offset + lo + block] = basis.convolve(np.exp(-np.outer(rates[lo : lo + block], tau)))
-    norms = np.linalg.norm(B[offset:], axis=1)
+        S[lo : lo + block] = basis.convolve(np.exp(-np.outer(rates[lo : lo + block], tau)))
+    norms = np.linalg.norm(S, axis=1)
     usable = norms > 0
     if not usable.all():
-        rates, norms = rates[usable], norms[usable]
-        B = B[np.concatenate([np.ones(offset, dtype=bool), usable])]
-    B[offset:] /= norms[:, None]
-    if offset:
-        B[0] = u / np.linalg.norm(u)
-    G = B @ B.T
-    c = B @ y
-    # higher orders also start from the previous order's rates plus one
-    S = B[offset:] if cfg.max_modes >= 2 else None
-    del B
-    min_det = _SINGULAR_DET
-    if cfg.allow_impulse:
-        # the impulse column is in every set: project it out once
-        G, c, yy_rest, g0 = eliminate_first(G, c, yy)
-        min_det /= g0
-    else:
-        yy_rest = yy
-    tie_tol = 1e-12 * yy
+        rates, S, norms = rates[usable], S[usable], norms[usable]
+    S /= norms[:, None]
 
-    best = prev = None
-    for k in range(0 if cfg.allow_impulse else 1, cfg.max_modes + 1):
+    # fits[k] is the refined fit of order k, None when it has no start
+    fits = [project(basis, y, np.empty(0), cfg.allow_impulse)]
+    for k in range(1, cfg.max_modes + 1):
         starts = []
-        found = best_grid_combo(G, c, yy_rest, k, min_det)
-        if found is not None:
-            starts.append(rates[found[1]])
-        if prev is not None and len(prev.rates):
-            seed = extend_rate_set(S, rates, prev)
+        for prev, m in ((fits[k - 2] if k >= 2 else None, 2), (fits[k - 1], 1)):
+            seed = None if prev is None else extend_rate_set(S, rates, prev, m)
             if seed is not None and not any(np.array_equal(seed, s) for s in starts):
                 starts.append(seed)
         fit = None
@@ -419,10 +353,11 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
             trial = refine(basis, y, start, cfg)
             if trial is not None and (fit is None or trial.residual < fit.residual):
                 fit = trial
-        if fit is None:
-            continue
-        prev = fit
-        if best is None or fit.residual < best.residual - tie_tol:
+        fits.append(fit)
+    tie_tol = 1e-12 * yy
+    best = None
+    for fit in fits[0 if cfg.allow_impulse else 1 :]:
+        if fit is not None and (best is None or fit.residual < best.residual - tie_tol):
             best = fit
     if best is None:
         raise ValueError("rate grid exhausted without a finite residual")

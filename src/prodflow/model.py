@@ -126,8 +126,10 @@ def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n = int(math.floor((t1 - t0) / dt * (1.0 + 1e-12) + 1e-9))
-    return t0 + dt * np.arange(n + 1)
+    count = (t1 - t0) / dt * (1.0 + 1e-12) + 1e-9
+    if not math.isfinite(count):
+        raise ValueError(f"sample count ({t1!r} - {t0!r}) / {dt!r} is not finite")
+    return t0 + dt * np.arange(int(math.floor(count)) + 1)
 
 
 def resample(ts: TimeSeries, grid: np.ndarray) -> np.ndarray:

@@ -208,7 +208,10 @@ def percentile_reaction_time(ts: float, tt: float) -> float:
         raise ValueError(f"total time must be positive, got {tt!r}")
     if ts < 0:
         raise ValueError(f"settling time must be nonnegative, got {ts!r}")
-    return ts / tt
+    frac = ts / tt
+    if not math.isfinite(frac):
+        raise ValueError(f"reaction fraction {ts!r} / {tt!r} is not finite")
+    return frac
 
 
 def classify_steadiness(ts: float, tt: float, stable: bool) -> str:

@@ -28,6 +28,23 @@ class TestStep:
                      "--horizon", "5", "--dt", "0.5", "--out", str(out), "--svg", str(svg))
         assert rc == 0 and svg.read_text().count("<polyline") == 1
 
+    def test_oversized_grid_is_user_error(self, cases_dir, tmp_path, monkeypatch, capsys):
+        import prodflow.cli as cli_mod
+
+        argv = ["step", "--model", str(cases_dir / "case1/model.txt"), "--out", str(tmp_path / "s.csv")]
+        # the sample count overflows a float
+        assert run_cli(*argv, "--horizon", "1e300", "--dt", "1e-300") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: sample count (1e+300 - 0.0) / 1e-300 is not finite"]
+
+        # numpy's refusal of a 74.5 GiB grid, raised without allocating it
+        def too_big(pf, horizon, dt):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)")
+
+        monkeypatch.setattr(cli_mod, "step_response", too_big)
+        assert run_cli(*argv, "--horizon", "1e10", "--dt", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 74.5 GiB") and len(err.splitlines()) == 1
+
 
 class TestSettle:
     def test_reports_reaction(self, cases_dir, capsys):
@@ -61,6 +78,12 @@ class TestSettle:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
 
+    def test_overflowing_reaction_fraction_is_user_error(self, cases_dir, capsys):
+        rc = run_cli("settle", "--model", str(cases_dir / "case1/model.txt"), "--total-time", "1e-320")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "reaction fraction" in err and "not finite" in err and len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
         assert "file" in capsys.readouterr().err.lower()
@@ -93,6 +116,15 @@ class TestChain:
         assert lines[0] == "node,u,ce,ca,cd"
         assert lines[1].endswith("0.48027940243154305")
         assert lines[2].endswith("0.5128364537549959")
+
+    @pytest.mark.parametrize("rows,ca0", [("0.5,1e308\n", "1.0"), ("0.5,1.0\n", "1e200")])
+    def test_overflow_is_user_error(self, tmp_path, capsys, rows, ca0):
+        spec = tmp_path / "chain.csv"
+        spec.write_text("u,ce\n" + rows)
+        assert run_cli("chain", "--spec", str(spec), "--ca0", ca0) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "departure CV is not finite" in captured.err
 
 
 class TestFit:

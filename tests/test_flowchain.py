@@ -16,6 +16,14 @@ class TestPropagateOne:
     def test_idle_limit(self):
         assert propagate_one(0.4, ChainNode(0.0, 0.6)) == pytest.approx(0.4, rel=1e-14)
 
+    def test_idle_station_ignores_huge_ce(self):
+        assert propagate_one(0.4, ChainNode(0.0, 1e308)) == 0.4
+
+    @pytest.mark.parametrize("ca,node", [(1.0, ChainNode(0.5, 1e308)), (1e200, ChainNode(0.5, 1.0))])
+    def test_overflow_rejected(self, ca, node):
+        with pytest.raises(ValueError, match="not finite"):
+            propagate_one(ca, node)
+
     def test_midpoint_hand_value(self):
         # sqrt(0.25*0.36 + 0.75*0.16) = sqrt(0.21)
         assert propagate_one(0.4, ChainNode(0.5, 0.6)) == pytest.approx(math.sqrt(0.21), rel=1e-14)

@@ -18,8 +18,6 @@ from prodflow import (
 )
 from prodflow.identify import (
     ModeBasis,
-    best_grid_combo,
-    eliminate_first,
     extend_rate_set,
     project,
     rate_grid,
@@ -267,86 +265,107 @@ class TestConfig:
             FitConfig(**kwargs)
 
 
-def brute_force_combo(G, c, yy, k):
-    """Reference scan: one np.linalg.solve per index set, first set wins ties."""
+def mode_record(pf, dt, n):
+    """Noise-free response of ``pf`` to a step-plus-sinusoid input from t = 1."""
+    from prodflow import simulate_response
+
+    t = dt * np.arange(n)
+    u = np.where(t >= 1.0, 1.0 + 0.2 * np.sin(0.7 * t), 0.0)
+    return ModeBasis(t, u, dt), simulate_response(pf, TimeSeries(t, u), dt).values
+
+
+def unit_responses(basis, rates):
+    S = basis.convolve(np.exp(-np.outer(rates, basis.tau)))
+    return S / np.linalg.norm(S, axis=1)[:, None]
+
+
+def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
+    """Reference: one np.linalg.solve per added set, the first set wins ties."""
+    A = np.vstack(([basis.u] if allow_impulse else []) + [unit_responses(basis, np.append(prev_rates, cands))])
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    fixed = list(range(len(A) - len(cands)))
     best_res, best_set = math.inf, None
-    for S in itertools.combinations(range(len(c)), k):
-        idx = list(S)
-        Gs = G[np.ix_(idx, idx)]
-        if abs(np.linalg.det(Gs)) <= 1e-10:
+    for added in itertools.combinations(range(len(cands)), m):
+        idx = fixed + [len(fixed) + a for a in added]
+        G, c = A[idx] @ A[idx].T, A[idx] @ y
+        if np.linalg.det(G) <= 1e-10:
             continue
-        res = yy - float(c[idx] @ np.linalg.solve(Gs, c[idx]))
+        res = float(y @ y - c @ np.linalg.solve(G, c))
         if res < best_res:
-            best_res, best_set = res, S
-    return best_res, best_set
+            best_res, best_set = res, added
+    return best_res, sorted([*prev_rates, *cands[list(best_set)]])
 
 
-def gram_system(rows, y):
-    B = rows / np.linalg.norm(rows, axis=1)[:, None]
-    return B @ B.T, B @ y, float(y @ y)
-
-
-class TestGridScan:
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_brute_force(self, seed, k):
-        rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((9, 40))
-        y = rows[2] - 0.5 * rows[6] + 0.3 * rng.standard_normal(40)
-        G, c, yy = gram_system(rows, y)
-        res, idx = best_grid_combo(G, c, yy, k)
-        ref_res, ref_set = brute_force_combo(G, c, yy, k)
-        assert tuple(idx) == ref_set
-        assert res == pytest.approx(ref_res, rel=1e-9)
+class TestExtendRateSet:
+    PF = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3), ExponentialMode(-0.5, 2.0)))
+    CANDS = np.array([-0.05, 0.01, 0.04, 1.0, 2.5, 9.0, 40.0])
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_eliminating_the_first_unknown_keeps_the_scan(self, seed, k):
-        # the impulse column is index 0 of every set of the full system
-        rng = np.random.default_rng(100 + seed)
-        rows = rng.standard_normal((8, 30))
-        y = 0.7 * rows[0] + rows[3] + 0.2 * rng.standard_normal(30)
-        G, c, yy = gram_system(rows, y)
-        Gr, cr, yyr, g0 = eliminate_first(G, c, yy)
-        res, idx = best_grid_combo(Gr, cr, yyr, k, 1e-10 / g0)
-        best_res, best_set = math.inf, None
-        for S in itertools.combinations(range(1, len(c)), k):
-            idx_full = [0, *S]
-            Gs = G[np.ix_(idx_full, idx_full)]
-            if abs(np.linalg.det(Gs)) > 1e-10:
-                r = yy - float(c[idx_full] @ np.linalg.solve(Gs, c[idx_full]))
-                if r < best_res:
-                    best_res, best_set = r, S
-        assert tuple(int(i) + 1 for i in idx) == best_set
-        assert res == pytest.approx(best_res, rel=1e-9)
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("start", ["impulse", "empty", "refined"])
+    def test_matches_brute_force(self, start, m, seed):
+        basis, y = mode_record(self.PF, 0.1, 200)
+        y = y + 0.05 * np.random.default_rng(seed).standard_normal(len(y))
+        allow_impulse = start != "empty"
+        if start == "refined":
+            prev = refine(basis, y, [0.5])
+        else:
+            prev = project(basis, y, np.empty(0), allow_impulse)
+        ref_res, ref_rates = brute_force_extension(basis, y, list(prev.rates), allow_impulse, self.CANDS, m)
+        rates = extend_rate_set(unit_responses(basis, self.CANDS), self.CANDS, prev, m)
+        assert list(rates) == ref_rates
+        assert project(basis, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
 
     def test_exact_tie_goes_to_the_first_set(self):
-        rng = np.random.default_rng(7)
-        rows = rng.standard_normal((6, 25))
-        rows[3] = rows[1]  # candidates 1 and 3 are the same response
-        y = rows[1] + 0.4 * rows[4] + 0.1 * rng.standard_normal(25)
-        G, c, yy = gram_system(rows, y)
-        assert tuple(best_grid_combo(G, c, yy, 1)[1]) == (1,) == brute_force_combo(G, c, yy, 1)[1]
+        cands = np.array([0.02, 0.1, 0.5, 0.7, 3.0, 12.0])
+        basis, _ = mode_record(self.PF, 0.1, 200)
+        S = unit_responses(basis, cands)
+        S[3] = S[1]  # candidates 1 and 3 have the same response
+        y = S[1] + 0.4 * S[4] + 0.002 * np.random.default_rng(7).standard_normal(len(basis.u))
+        prev = project(basis, y, np.empty(0), False)
+        assert list(extend_rate_set(S, cands, prev, 1)) == [0.1]
         # (1, 4) and (3, 4) score bit for bit the same; (1, 3) is singular
-        res, idx = best_grid_combo(G, c, yy, 2)
-        assert tuple(idx) == (1, 4) == brute_force_combo(G, c, yy, 2)[1]
+        assert list(extend_rate_set(S, cands, prev, 2)) == [0.1, 3.0]
 
     def test_all_singular_is_none(self):
-        rows = np.tile(np.linspace(1.0, 2.0, 10), (3, 1))
-        G, c, yy = gram_system(rows, np.ones(10))
-        assert best_grid_combo(G, c, yy, 2) is None
+        t = np.linspace(0.0, 1.0, 10)
+        basis = ModeBasis(t, np.linspace(1.0, 2.0, 10), t[1])
+        # the candidates differ from the input column by angles near 1e-6:
+        # Gram determinants near 1e-12, below the threshold but not 0
+        S = basis.u + 1e-6 * np.random.default_rng(3).standard_normal((3, 10))
+        S /= np.linalg.norm(S, axis=1)[:, None]
+        cands = np.array([0.1, 1.0, 10.0])
+        assert extend_rate_set(S, cands, project(basis, np.ones(10), np.empty(0), False), 2) is None
+        # every candidate nearly repeats the impulse column
+        assert extend_rate_set(S, cands, project(basis, np.ones(10), np.empty(0), True), 1) is None
+
+    def test_pair_start_finds_what_single_additions_miss(self):
+        # a difference of two close exponentials: the best single rate plus
+        # one more refines to gof 0.82 only; the best pair reaches the truth
+        pf = ProductivityFunction(0.0, (ExponentialMode(1.0, 0.3), ExponentialMode(-2.0, 0.5)))
+        basis, y = mode_record(pf, 0.1, 200)
+        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y), float(basis.tau[-1]))
+        fit = fit_productivity(run, CHEAP)
+        assert [m.decay_rate for m in fit.model.modes] == pytest.approx([0.3, 0.5], rel=1e-8)
+        assert fit.gof == pytest.approx(1.0, abs=1e-9)
+
+    def test_recovers_noise_free_three_mode_model(self):
+        pf = ProductivityFunction(
+            0.4, (ExponentialMode(0.8, 0.08), ExponentialMode(1.0, 0.6), ExponentialMode(-0.5, 4.0))
+        )
+        basis, y = mode_record(pf, 0.05, 400)
+        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y), float(basis.tau[-1]))
+        model = fit_productivity(run, FitConfig(max_modes=3)).model
+        assert [m.decay_rate for m in model.modes] == pytest.approx([0.08, 0.6, 4.0], rel=1e-9)
+        assert [m.gain for m in model.modes] == pytest.approx([0.8, 1.0, -0.5], rel=1e-9)
+        assert model.impulse_gain == pytest.approx(0.4, rel=1e-9)
 
 
 class TestRefine:
     PF = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3), ExponentialMode(-0.5, 2.0)))
 
     def record(self, dt=0.05, n=400):
-        t = dt * np.arange(n)
-        u = np.where(t >= 1.0, 1.0 + 0.2 * np.sin(0.7 * t), 0.0)
-        from prodflow import simulate_response
-
-        y = simulate_response(self.PF, TimeSeries(t, u), dt).values
-        return ModeBasis(t, u, dt), y
+        return mode_record(self.PF, dt, n)
 
     def test_recovers_noise_free_two_mode_model(self):
         basis, y = self.record()
