@@ -296,25 +296,37 @@ def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
     return best_res, sorted([*prev_rates, *cands[list(best_set)]])
 
 
-class TestExtendRateSet:
+class TestGridScan:
+    """extend_rate_set, the one search step, against one np.linalg.solve per set."""
+
     PF = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3), ExponentialMode(-0.5, 2.0)))
     CANDS = np.array([-0.05, 0.01, 0.04, 1.0, 2.5, 9.0, 40.0])
+    # (start, m) extensions whose result has k rates; "refined" is a refined one-mode fit
+    EXTENSIONS = {0: [("empty", 0)], 1: [("empty", 1)], 2: [("empty", 2), ("refined", 1)], 3: [("refined", 2)]}
 
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("start", ["impulse", "empty", "refined"])
-    def test_matches_brute_force(self, start, m, seed):
+    def check_extensions(self, k, seed, allow_impulse):
         basis, y = mode_record(self.PF, 0.1, 200)
         y = y + 0.05 * np.random.default_rng(seed).standard_normal(len(y))
-        allow_impulse = start != "empty"
-        if start == "refined":
-            prev = refine(basis, y, [0.5])
-        else:
-            prev = project(basis, y, np.empty(0), allow_impulse)
-        ref_res, ref_rates = brute_force_extension(basis, y, list(prev.rates), allow_impulse, self.CANDS, m)
-        rates = extend_rate_set(unit_responses(basis, self.CANDS), self.CANDS, prev, m)
-        assert list(rates) == ref_rates
-        assert project(basis, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
+        for start, m in self.EXTENSIONS[k]:
+            if start == "refined":
+                prev = refine(basis, y, [0.5], FitConfig(allow_impulse=allow_impulse))
+            else:
+                prev = project(basis, y, np.empty(0), allow_impulse)
+            ref_res, ref_rates = brute_force_extension(basis, y, list(prev.rates), allow_impulse, self.CANDS, m)
+            rates = extend_rate_set(unit_responses(basis, self.CANDS), self.CANDS, prev, m) if m else prev.rates
+            assert list(rates) == ref_rates
+            assert project(basis, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_brute_force(self, seed, k):
+        self.check_extensions(k, seed, allow_impulse=False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_eliminating_the_first_unknown_keeps_the_scan(self, seed, k):
+        # the impulse is in every set and projected out before the scan
+        self.check_extensions(k, seed, allow_impulse=True)
 
     def test_exact_tie_goes_to_the_first_set(self):
         cands = np.array([0.02, 0.1, 0.5, 0.7, 3.0, 12.0])
