@@ -95,21 +95,54 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     return TimeSeries(t, step_values(pf, t))
 
 
+def fft_length(n: int) -> int:
+    """FFT length that ``trapezoid_convolve`` pads n samples to: no wrap-around."""
+    return 1 << max(2 * n - 1, 2).bit_length()
+
+
+class TrapezoidConvolver:
+    """``trapezoid_convolve`` of one input with stacks of at most ``rows`` kernels.
+
+    The input's FFT and the work buffers are made once and every call
+    reuses them, so convolving many stacks in turn allocates nothing and
+    touches no fresh memory, whatever the allocator did before.
+    """
+
+    def __init__(self, u: np.ndarray, dt: float, rows: int):
+        self.u, self.dt, self.nfft = u, dt, fft_length(len(u))
+        self.u_hat = np.fft.rfft(u, self.nfft)
+        self._spec = np.empty((rows, self.nfft // 2 + 1), dtype=complex)
+        self._full = np.empty((rows, self.nfft))
+        self._ends = np.empty((rows, len(u)))
+
+    def __call__(self, kernels: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Writes the responses of ``kernels`` (rows, n) into ``out`` (same shape); returns ``out``."""
+        rows, n = kernels.shape
+        spec, full, ends = self._spec[:rows], self._full[:rows], self._ends[:rows]
+        np.fft.rfft(kernels, self.nfft, out=spec)
+        spec *= self.u_hat
+        np.fft.irfft(spec, self.nfft, out=full)
+        # trapezoid weights: minus half of the two endpoint products
+        np.multiply(kernels[:, :1], self.u, out=ends)
+        ends += np.multiply(kernels, self.u[0], out=out)
+        ends *= 0.5
+        np.subtract(full[:, :n], ends, out=out)
+        out *= self.dt
+        return out
+
+
 def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """Discrete convolution integral of kernel with u on a uniform grid.
 
     ``kernel`` is one kernel sampled like ``u``, or a stack of them along
     the leading axes; each is convolved along the last axis.  Trapezoidal
     weights: the rectangle-rule convolution minus half of the two endpoint
-    products, times dt, both applied in place.  FFT-based so long records
-    stay fast.
+    products, times dt.  FFT-based so long records stay fast.
     """
-    n = len(u)
-    m = 1 << max(2 * n - 1, 2).bit_length()
-    full = np.fft.irfft(np.fft.rfft(kernel, m) * np.fft.rfft(u, m), m)[..., :n]
-    full -= 0.5 * (kernel[..., :1] * u + kernel * u[0])
-    full *= dt
-    return full
+    kernel = np.asarray(kernel, dtype=float)
+    rows = kernel.reshape(-1, kernel.shape[-1])
+    out = TrapezoidConvolver(u, dt, len(rows))(rows, np.empty(rows.shape))
+    return out.reshape(kernel.shape)
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:

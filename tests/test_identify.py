@@ -296,6 +296,21 @@ def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
     return best_res, sorted([*prev_rates, *cands[list(best_set)]])
 
 
+class TestModeBasis:
+    def test_unit_responses_match_one_stacked_convolution(self):
+        # 300 rates at n = 400 take three blocks, the last one partial
+        basis, _ = mode_record(ProductivityFunction(1.0, ()), 0.05, 400)
+        rates = np.geomspace(1e-3, 1e3, 300)
+        S, norms = basis.unit_responses(rates)
+        assert np.array_equal(S, unit_responses(basis, rates))
+        assert np.array_equal(norms, np.linalg.norm(basis.convolve(np.exp(-np.outer(rates, basis.tau))), axis=1))
+
+    def test_zero_responses_keep_norm_zero(self):
+        t = np.linspace(0.0, 1.0, 10)
+        S, norms = ModeBasis(t, np.zeros(10), t[1]).unit_responses(np.array([0.5, 2.0]))
+        assert not norms.any() and not S.any()
+
+
 class TestGridScan:
     """extend_rate_set, the one search step, against one np.linalg.solve per set."""
 

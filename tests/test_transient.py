@@ -35,7 +35,7 @@ from expected import (
     TS_CASE3,
     TS_CASE4,
 )
-from prodflow.transient import step_values, trapezoid_convolve
+from prodflow.transient import TrapezoidConvolver, step_values, trapezoid_convolve
 
 
 def unit_step(horizon: float, dt: float) -> TimeSeries:
@@ -132,6 +132,14 @@ class TestTrapezoidConvolve:
                       for k in range(n)]
             np.testing.assert_allclose(trapezoid_convolve(kernel, u, dt), direct, rtol=0, atol=1e-12 * n)
             assert np.array_equal(row, trapezoid_convolve(kernel, u, dt))
+
+    def test_convolver_reuses_its_buffers_without_carry_over(self):
+        rng = np.random.default_rng(5)
+        u, dt = rng.normal(size=50), 0.2
+        conv = TrapezoidConvolver(u, dt, 3)
+        for rows in (3, 1, 2):
+            kernels = rng.normal(size=(rows, 50))
+            assert np.array_equal(conv(kernels, np.empty((rows, 50))), trapezoid_convolve(kernels, u, dt))
 
 
 class TestSettlingTime:
