@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
-from .transient import TrapezoidConvolver, fft_length, trapezoid_convolve
+from .transient import TrapezoidConvolver, trapezoid_convolve
 
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
@@ -46,8 +46,8 @@ _SINGULAR_DET = 1e-10
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
-# float64 elements per FFT block when building the candidate responses:
-# a block's 1 MB buffers stay in cache (2^19 was 10-25 % slower at n=16000)
+# padded FFT elements (2 per sample) per block of the candidate build: a
+# block's 1 MB buffers stay in cache (2^19 was 10-25 % slower at n=16000)
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -154,26 +154,23 @@ class ModeBasis:
         return trapezoid_convolve(kernels, self.u, self.dt)
 
     def unit_responses(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Responses to ``u`` of the kernels exp(-rate * tau), one row per rate, and their norms.
+        """The rates whose kernels exp(-rate * tau) respond to ``u``, and those responses at unit norm.
 
-        Every row with a nonzero norm is scaled to unit norm.  The rows are
-        convolved and scaled in blocks of at most _BLOCK_ELEMENTS FFT
-        elements through one ``TrapezoidConvolver``, whose buffers every
-        block reuses: the build touches no fresh memory beyond its output,
-        so its cost does not hinge on what the allocator kept from before.
+        Built in blocks through one ``TrapezoidConvolver`` and one kernel
+        block, so the build touches no fresh memory beyond its result.
         """
-        out, norms = np.empty((len(rates), len(self.tau))), np.empty(len(rates))
-        block = max(1, min(len(rates), _BLOCK_ELEMENTS // fft_length(len(self.u))))
-        conv = TrapezoidConvolver(self.u, self.dt, block)
-        kernels = np.empty((block, len(self.tau)))
+        S, norms = np.empty((len(rates), len(self.tau))), np.empty(len(rates))
+        block = max(1, min(len(rates), _BLOCK_ELEMENTS // (2 * len(self.u))))
+        conv, kernels = TrapezoidConvolver(self.u, self.dt, block), np.empty((block, len(self.tau)))
         for lo in range(0, len(rates), block):
-            r = rates[lo : lo + block]
-            k, rows, nrm = kernels[: len(r)], out[lo : lo + len(r)], norms[lo : lo + len(r)]
+            r, rows, nrm = rates[lo : lo + block], S[lo : lo + block], norms[lo : lo + block, None]
+            k = kernels[: len(r)]
             np.multiply.outer(-r, self.tau, out=k)
             conv(np.exp(k, out=k), rows)
-            nrm[:] = np.linalg.norm(rows, axis=1)
-            np.divide(rows, nrm[:, None], out=rows, where=nrm[:, None] > 0)
-        return out, norms
+            nrm[:, 0] = np.linalg.norm(rows, axis=1)
+            np.divide(rows, nrm, out=rows, where=nrm > 0)
+        keep = norms > 0
+        return (rates, S) if keep.all() else (rates[keep], S[keep])
 
 
 @dataclass(frozen=True)
@@ -349,10 +346,7 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     # candidate mode responses, normalised so the reduced Gram matrices
     # stay well conditioned
     basis = ModeBasis(tau, u, dt)
-    S, norms = basis.unit_responses(rates)
-    usable = norms > 0
-    if not usable.all():
-        rates, S = rates[usable], S[usable]
+    rates, S = basis.unit_responses(rates)
 
     # fits[k] is the refined fit of order k, None when it has no start
     fits = [project(basis, y, np.empty(0), cfg.allow_impulse)]

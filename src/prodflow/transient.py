@@ -95,21 +95,15 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     return TimeSeries(t, step_values(pf, t))
 
 
-def fft_length(n: int) -> int:
-    """FFT length that ``trapezoid_convolve`` pads n samples to: no wrap-around."""
-    return 1 << max(2 * n - 1, 2).bit_length()
-
-
 class TrapezoidConvolver:
     """``trapezoid_convolve`` of one input with stacks of at most ``rows`` kernels.
 
-    The input's FFT and the work buffers are made once and every call
-    reuses them, so convolving many stacks in turn allocates nothing and
-    touches no fresh memory, whatever the allocator did before.
+    Every call reuses the input's FFT and the work buffers made here, so
+    convolving many stacks in turn touches no fresh memory.
     """
 
     def __init__(self, u: np.ndarray, dt: float, rows: int):
-        self.u, self.dt, self.nfft = u, dt, fft_length(len(u))
+        self.u, self.dt, self.nfft = u, dt, 1 << max(2 * len(u) - 1, 2).bit_length()
         self.u_hat = np.fft.rfft(u, self.nfft)
         self._spec = np.empty((rows, self.nfft // 2 + 1), dtype=complex)
         self._full = np.empty((rows, self.nfft))
@@ -139,10 +133,8 @@ def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarr
     weights: the rectangle-rule convolution minus half of the two endpoint
     products, times dt.  FFT-based so long records stay fast.
     """
-    kernel = np.asarray(kernel, dtype=float)
     rows = kernel.reshape(-1, kernel.shape[-1])
-    out = TrapezoidConvolver(u, dt, len(rows))(rows, np.empty(rows.shape))
-    return out.reshape(kernel.shape)
+    return TrapezoidConvolver(u, dt, len(rows))(rows, np.empty(rows.shape)).reshape(kernel.shape)
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:
