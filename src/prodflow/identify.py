@@ -47,7 +47,7 @@ _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
 # padded FFT elements (2 per sample) per block of the candidate build: a
-# block's 1 MB buffers stay in cache (2^19 was 10-25 % slower at n=16000)
+# block's 1 MB buffers stay in cache (2^19 took 13 % longer at n=16000)
 _BLOCK_ELEMENTS = 1 << 17
 
 
