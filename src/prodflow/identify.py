@@ -99,74 +99,78 @@ def goodness_of_fit(predicted: TimeSeries, observed: TimeSeries) -> float:
     """NRMSE of a prediction against an observation on the same grid."""
     if len(predicted) != len(observed) or not np.array_equal(predicted.t, observed.t):
         raise ValueError("predicted and observed series must share the same time grid")
-    return _nrmse(observed.values, predicted.values)
+    return _nrmse(observed.values, predicted.values, float(observed.values @ observed.values))
 
 
-def _nrmse(y: np.ndarray, yhat: np.ndarray) -> float:
+def _nrmse(y: np.ndarray, yhat: np.ndarray, yy: float) -> float:
     den = float(np.linalg.norm(y - y.mean()))
     num = float(np.linalg.norm(y - yhat))
     # residuals at rounding-noise level count as exact; otherwise a perfect
     # feedthrough fit of a constant signal would score num/den on pure dust
-    if num <= 1e-12 * max(float(np.linalg.norm(y)), den):
+    if num <= 1e-12 * max(math.sqrt(yy), den):
         return 1.0
     if den == 0.0:
         return -math.inf
     return 1.0 - num / den
 
 
-def _common_grid(run: ProcessRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Input and output resampled onto one uniform grid; returns (t, u, y, dt)."""
+def _common_grid(run: ProcessRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, float]:
+    """(t, u, y, dt, u @ u, y @ y): input and output on one uniform grid, ValueError if a sum overflows."""
     inp, out = run.input, run.output
     din, dout = np.diff(inp.t), np.diff(out.t)
     same = len(inp) == len(out) and np.array_equal(inp.t, out.t)
     if same and np.allclose(din, din[0], rtol=1e-9, atol=0.0):
-        return inp.t.copy(), inp.values.copy(), out.values.copy(), float(din.mean())
-    t0 = max(inp.t[0], out.t[0])
-    t1 = min(inp.t[-1], out.t[-1])
-    dt = float(min(np.median(din), np.median(dout)))
-    grid = uniform_grid(t0, t1, dt)
-    if len(grid) < 2:
-        raise ValueError("input and output overlap on fewer than 2 samples")
-    return grid, resample(inp, grid), resample(out, grid), dt
+        t, u, y, dt = inp.t.copy(), inp.values.copy(), out.values.copy(), float(din.mean())
+    else:
+        dt = float(min(np.median(din), np.median(dout)))
+        t = uniform_grid(max(inp.t[0], out.t[0]), min(inp.t[-1], out.t[-1]), dt)
+        if len(t) < 2:
+            raise ValueError("input and output overlap on fewer than 2 samples")
+        u, y = resample(inp, t), resample(out, t)
+    with np.errstate(over="ignore"):
+        uu, yy = float(u @ u), float(y @ y)
+    if not (math.isfinite(uu) and math.isfinite(yy)):
+        raise ValueError("sum of squares of the input or output overflows; values are out of range")
+    return t, u, y, dt, uu, yy
 
 
 def fit_fdp(run: ProcessRun) -> FdpFit:
     """Least-squares static gain y = alpha * u and its goodness of fit."""
-    _, u, y, _ = _common_grid(run)
-    uu = float(u @ u)
+    _, u, y, _, uu, yy = _common_grid(run)
     if uu == 0.0:
         raise ValueError("input is identically zero; alpha undefined")
     alpha = float(u @ y) / uu
-    return FdpFit(alpha, _nrmse(y, alpha * u))
+    return FdpFit(alpha, _nrmse(y, alpha * u, yy))
 
 
 class ModeBasis:
     """Trapezoid-rule responses of exponential kernels to one recorded input.
 
-    Holds the record's lag times ``tau``, input ``u`` and step ``dt``.
+    Holds the record's lag times ``tau``, input ``u`` and step ``dt``, and the
+    ``TrapezoidConvolver`` that every ``convolve`` call reuses: one input FFT per fit.
     """
 
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
         self.tau, self.u, self.dt = tau, u, dt
+        self._conv = TrapezoidConvolver(u, dt)
 
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
         """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
-        return trapezoid_convolve(kernels, self.u, self.dt)
+        return self._conv(kernels, np.empty(kernels.shape))
 
     def unit_responses(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rates whose kernels exp(-rate * tau) respond to ``u``, and those responses at unit norm.
 
-        Built in blocks through one ``TrapezoidConvolver`` and one kernel
-        block, so the build touches no fresh memory beyond its result.
+        Each block's kernels are built and convolved in place in its rows of
+        the result, through the build's own convolver (``convolve``'s would
+        keep block-sized buffers), so the build touches no fresh memory.
         """
         S, norms = np.empty((len(rates), len(self.tau))), np.empty(len(rates))
-        block = max(1, min(len(rates), _BLOCK_ELEMENTS // (2 * len(self.u))))
-        conv, kernels = TrapezoidConvolver(self.u, self.dt, block), np.empty((block, len(self.tau)))
+        block, conv = max(1, _BLOCK_ELEMENTS // (2 * len(self.u))), TrapezoidConvolver(self.u, self.dt)
         for lo in range(0, len(rates), block):
-            r, rows, nrm = rates[lo : lo + block], S[lo : lo + block], norms[lo : lo + block, None]
-            k = kernels[: len(r)]
-            np.multiply.outer(-r, self.tau, out=k)
-            conv(np.exp(k, out=k), rows)
+            rows, nrm = S[lo : lo + block], norms[lo : lo + block, None]
+            np.multiply.outer(-rates[lo : lo + block], self.tau, out=rows)
+            conv(np.exp(rows, out=rows), rows)
             nrm[:, 0] = np.linalg.norm(rows, axis=1)
             np.divide(rows, nrm, out=rows, where=nrm > 0)
         keep = norms > 0
@@ -205,12 +209,9 @@ def project(
     None when the set is singular or anything is non-finite.
     """
     k = len(rates)
-    if k:
-        E = np.exp(-np.outer(rates, basis.tau))
-        cols = basis.convolve(np.vstack([E, -(rates[:, None] * basis.tau) * E]))
-        phi, deriv = cols[:k], cols[k:]
-    else:
-        phi = deriv = np.empty((0, len(y)))
+    E = np.exp(-np.outer(rates, basis.tau))
+    cols = basis.convolve(np.vstack([E, -(rates[:, None] * basis.tau) * E]))
+    phi, deriv = cols[:k], cols[k:]
     A = np.vstack([basis.u, phi]).T if allow_impulse else phi.T
     Q, R = np.linalg.qr(A)
     norms = np.linalg.norm(A, axis=0)
@@ -327,20 +328,18 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     inside the search space (order 0), so the returned gof never falls
     below fit_fdp's.  Ties between model orders go to the smaller model.
     """
-    t, u, y, dt = _common_grid(run)
-    if float(u @ u) == 0.0:
+    t, u, y, dt, uu, yy = _common_grid(run)
+    if uu == 0.0:
         raise ValueError("input is identically zero; nothing to identify")
-    yy = float(y @ y)
     if yy == 0.0:
         raise ValueError("output is identically zero; nothing to identify")
     grid = rate_grid(cfg)
     if len(grid) < cfg.max_modes:
         raise ValueError("rate grid has fewer points than max_modes")
     tau = t - t[0]
-    span = float(tau[-1])
     rates = list(grid)
     if cfg.allow_unstable:
-        rates += [-r for r in grid if r * span <= _MAX_GROWTH_EXPONENT]
+        rates += [-r for r in grid if r * float(tau[-1]) <= _MAX_GROWTH_EXPONENT]
     rates = np.sort(np.asarray(rates))
 
     # candidate mode responses, normalised so the reduced Gram matrices
@@ -379,6 +378,6 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         predicted = predicted + m.gain * trapezoid_convolve(np.exp(-m.decay_rate * tau), u, dt)
     return FitResult(
         ProductivityFunction(best.impulse, modes),
-        _nrmse(y, predicted),
+        _nrmse(y, predicted, yy),
         float(np.linalg.norm(y - predicted)),
     )

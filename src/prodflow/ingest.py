@@ -40,7 +40,8 @@ def load_model(path: str | Path) -> ProductivityFunction:
     return parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_table(path: str | Path, columns: tuple[str, ...]) -> list[list[float]]:
+def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> list[list[float]]:
+    """The numeric rows under the header; with ``timestamps`` the first column must increase."""
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -60,21 +61,18 @@ def _read_table(path: str | Path, columns: tuple[str, ...]) -> list[list[float]]
                 raise CsvFormatError(f"non-numeric field in {row!r}", path, lineno) from None
             if not all(math.isfinite(v) for v in vals):
                 raise CsvFormatError(f"non-finite value in {row!r}", path, lineno)
+            if timestamps and rows and vals[0] <= rows[-1][0]:
+                raise CsvFormatError(f"timestamp {vals[0]!r} does not increase over the previous row", path, lineno)
             rows.append(vals)
     return rows
 
 
 def ingest_run(path: str | Path, total_time: float | None = None) -> ProcessRun:
     """Read a t,u,y run; total_time defaults to the last timestamp."""
-    rows = _read_table(path, ("t", "u", "y"))
+    rows = _read_table(path, ("t", "u", "y"), timestamps=True)
     if len(rows) < 2:
         raise CsvFormatError("a run needs at least 2 samples", path)
     t = np.array([r[0] for r in rows])
-    for i in range(1, len(t)):
-        if t[i] <= t[i - 1]:
-            raise CsvFormatError(
-                f"timestamp {t[i]!r} does not increase over the previous row", path, i + 2
-            )
     u = np.array([r[1] for r in rows])
     y = np.array([r[2] for r in rows])
     tt = total_time if total_time is not None else float(t[-1])

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VARIABILITY_CLASSES = ("low", "moderate", "high")
-
-
 @dataclass(frozen=True)
 class SpecLimits:
     usl: float
@@ -37,16 +34,19 @@ class ProcessMetrics:
 
 
 def _mean_std(values) -> tuple[float, float]:
-    """Mean and sample standard deviation of a validated, non-constant sample."""
+    """Mean and sample standard deviation of a validated, non-constant sample; both finite."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("sample must be a 1-d sequence with at least 2 values")
     if not np.isfinite(v).all():
         raise ValueError("sample values must be finite")
-    s = float(v.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, s = float(v.mean()), float(v.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(s)):
+        raise ValueError("sample mean or standard deviation overflows; values are out of range")
     if s == 0.0:
         raise ValueError("sample standard deviation is zero")
-    return float(v.mean()), s
+    return mean, s
 
 
 def _cpk(mean: float, s: float, limits: SpecLimits) -> float:

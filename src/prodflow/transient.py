@@ -92,32 +92,37 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     if not (0 < dt <= horizon):
         raise ValueError(f"dt must be in (0, horizon], got {dt!r}")
     t = uniform_grid(0.0, horizon, dt)
-    return TimeSeries(t, step_values(pf, t))
+    with np.errstate(all="ignore"):
+        y = step_values(pf, t)
+    if not np.isfinite(y).all():
+        raise ValueError("step response overflows over this horizon; shorten the horizon")
+    return TimeSeries(t, y)
 
 
 class TrapezoidConvolver:
-    """``trapezoid_convolve`` of one input with stacks of at most ``rows`` kernels.
+    """``trapezoid_convolve`` of one input with stacks of kernels, taking the input's FFT once.
 
-    Every call reuses the input's FFT and the work buffers made here, so
-    convolving many stacks in turn touches no fresh memory.
+    The work buffers are made at the first call and again only when a larger stack arrives.
     """
 
-    def __init__(self, u: np.ndarray, dt: float, rows: int):
+    def __init__(self, u: np.ndarray, dt: float):
         self.u, self.dt, self.nfft = u, dt, 1 << max(2 * len(u) - 1, 2).bit_length()
         self.u_hat = np.fft.rfft(u, self.nfft)
-        self._spec = np.empty((rows, self.nfft // 2 + 1), dtype=complex)
-        self._full = np.empty((rows, self.nfft))
-        self._ends = np.empty((rows, len(u)))
+        self._spec, self._full = np.empty((0, self.nfft // 2 + 1), dtype=complex), np.empty((0, self.nfft))
 
     def __call__(self, kernels: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Writes the responses of ``kernels`` (rows, n) into ``out`` (same shape); returns ``out``."""
+        """Writes the responses of ``kernels`` (rows, n) into ``out``, which may be ``kernels``; returns ``out``."""
         rows, n = kernels.shape
-        spec, full, ends = self._spec[:rows], self._full[:rows], self._ends[:rows]
+        if rows > len(self._full):
+            self._spec = np.empty((rows, self.nfft // 2 + 1), dtype=complex)
+            self._full = np.empty((rows, self.nfft))
+        spec, full = self._spec[:rows], self._full[:rows]
         np.fft.rfft(kernels, self.nfft, out=spec)
         spec *= self.u_hat
         np.fft.irfft(spec, self.nfft, out=full)
-        # trapezoid weights: minus half of the two endpoint products
-        np.multiply(kernels[:, :1], self.u, out=ends)
+        # trapezoid weights: minus half of the two endpoint products, summed
+        # in the columns of full past the result (nfft >= 2n)
+        ends = np.multiply(kernels[:, :1], self.u, out=full[:, n : 2 * n])
         ends += np.multiply(kernels, self.u[0], out=out)
         ends *= 0.5
         np.subtract(full[:, :n], ends, out=out)
@@ -126,15 +131,13 @@ class TrapezoidConvolver:
 
 
 def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete convolution integral of kernel with u on a uniform grid.
+    """Discrete convolution integral of one kernel with u on a uniform grid.
 
-    ``kernel`` is one kernel sampled like ``u``, or a stack of them along
-    the leading axes; each is convolved along the last axis.  Trapezoidal
-    weights: the rectangle-rule convolution minus half of the two endpoint
-    products, times dt.  FFT-based so long records stay fast.
+    ``kernel`` is sampled like ``u``; stacks of kernels go through
+    ``TrapezoidConvolver``.  Trapezoidal weights, FFT-based so long records
+    stay fast: the rectangle-rule convolution minus half of the two endpoint products, times dt.
     """
-    rows = kernel.reshape(-1, kernel.shape[-1])
-    return TrapezoidConvolver(u, dt, len(rows))(rows, np.empty(rows.shape)).reshape(kernel.shape)
+    return TrapezoidConvolver(u, dt)(kernel[None], np.empty((1, len(kernel))))[0]
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:
@@ -158,9 +161,7 @@ def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) ->
                 for m in pf.modes:
                     kernel += m.gain * np.exp(-m.decay_rate * tau)
             except FloatingPointError:
-                raise ValueError(
-                    "growing mode overflows over this record; shorten the horizon"
-                ) from None
+                raise ValueError("growing mode overflows over this record; shorten the horizon") from None
         y = y + trapezoid_convolve(kernel, u, dt)
     return TimeSeries(grid, y)
 

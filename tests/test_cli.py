@@ -45,6 +45,16 @@ class TestStep:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate 74.5 GiB") and len(err.splitlines()) == 1
 
+    def test_overflowing_response_is_user_error(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("exp 1 -100\n")
+        argv = ["step", "--model", str(model), "--horizon", "10", "--dt", "1", "--out", str(tmp_path / "s.csv")]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "error: step response overflows over this horizon; shorten the horizon"
+        ]
+
 
 class TestSettle:
     def test_reports_reaction(self, cases_dir, capsys):
@@ -105,6 +115,14 @@ class TestMetrics:
         assert run_cli("metrics", "--sample", str(sample), "--usl", "12") == 1
         assert "together" in capsys.readouterr().err
 
+    def test_overflowing_spread_is_user_error(self, tmp_path, capsys):
+        sample = tmp_path / "s.csv"
+        sample.write_text("y\n1e200\n2e200\n")
+        assert run_cli("metrics", "--sample", str(sample)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
+
 
 class TestChain:
     def test_propagates(self, tmp_path, capsys):
@@ -141,6 +159,14 @@ class TestFit:
         assert summary["gof"] > 0.999
         fitted = parse_model(model_out.read_text())
         assert fitted.modes[0].decay_rate == pytest.approx(0.8369, rel=0.01)
+
+    def test_overflowing_sum_of_squares_is_user_error(self, tmp_path, capsys):
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0,1e300,1e300\n1,1e300,1e300\n2,1e300,1e300\n")
+        assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / "fit.txt")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fit.txt").exists()
+        assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
 
 
 class TestReport:

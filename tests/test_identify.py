@@ -310,6 +310,24 @@ class TestModeBasis:
         assert rates.shape == (0,) and S.shape == (0, 10)
 
 
+    def test_a_fit_convolves_through_one_convolver_per_job(self, monkeypatch):
+        from prodflow import identify, transient
+
+        made = []
+
+        class Counting(transient.TrapezoidConvolver):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(transient, "TrapezoidConvolver", Counting)
+        monkeypatch.setattr(identify, "TrapezoidConvolver", Counting)
+        two = ProductivityFunction(0.3, (ExponentialMode(0.8, 0.9), ExponentialMode(-0.2, 0.15)))
+        fit = fit_productivity(step_run(two, 30.0, 0.1, noise=0.01, seed=3), FitConfig(max_modes=2))
+        # the refinement's, the candidate build's and one per mode for the prediction
+        assert len(fit.model.modes) == 2 and len(made) <= 2 + len(fit.model.modes)
+
+
 class TestGridScan:
     """extend_rate_set, the one search step, against one np.linalg.solve per set."""
 

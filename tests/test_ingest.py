@@ -28,11 +28,13 @@ class TestRunCsv:
 
     def test_duplicate_timestamp_names_row(self, tmp_path):
         p = tmp_path / "run.csv"
-        p.write_text("t,u,y\n0,1,0.5\n1,1,0.8\n1,1,0.9\n")
-        with pytest.raises(CsvFormatError) as exc:
-            ingest_run(p)
-        assert exc.value.row == 4
-        assert "row 4" in str(exc.value)
+        # the blank line counts: rows are the file's line numbers
+        for text, row in (("t,u,y\n0,1,0.5\n1,1,0.8\n1,1,0.9\n", 4), ("t,u,y\n0,1,0.5\n\n1,1,0.8\n1,1,0.9\n", 5)):
+            p.write_text(text)
+            with pytest.raises(CsvFormatError) as exc:
+                ingest_run(p)
+            assert exc.value.row == row
+            assert f"row {row}: timestamp 1.0 does not increase" in str(exc.value)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "run.csv"

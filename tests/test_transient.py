@@ -125,7 +125,7 @@ class TestTrapezoidConvolve:
     def test_matches_direct_sum_and_stacks_row_by_row(self, n):
         rng = np.random.default_rng(n)
         u, kernels, dt = rng.normal(size=n), rng.normal(size=(3, n)), 0.1
-        stacked = trapezoid_convolve(kernels, u, dt)
+        stacked = TrapezoidConvolver(u, dt)(kernels, np.empty((3, n)))
         for kernel, row in zip(kernels, stacked):
             # the trapezoid rule term by term, as the reference
             direct = [dt * (np.dot(kernel[: k + 1], u[k::-1]) - 0.5 * (kernel[0] * u[k] + kernel[k] * u[0]))
@@ -136,10 +136,12 @@ class TestTrapezoidConvolve:
     def test_convolver_reuses_its_buffers_without_carry_over(self):
         rng = np.random.default_rng(5)
         u, dt = rng.normal(size=50), 0.2
-        conv = TrapezoidConvolver(u, dt, 3)
-        for rows in (3, 1, 2):
+        conv = TrapezoidConvolver(u, dt)
+        # the buffers grow once, at 3 rows, and serve the smaller stack after it
+        for rows in (2, 1, 3, 2):
             kernels = rng.normal(size=(rows, 50))
-            assert np.array_equal(conv(kernels, np.empty((rows, 50))), trapezoid_convolve(kernels, u, dt))
+            got = conv(kernels, np.empty((rows, 50)))
+            assert all(np.array_equal(row, trapezoid_convolve(kernel, u, dt)) for row, kernel in zip(got, kernels))
 
 
 class TestSettlingTime:
