@@ -309,7 +309,6 @@ class TestModeBasis:
         rates, S = ModeBasis(t, np.zeros(10), t[1]).unit_responses(np.array([0.5, 2.0]))
         assert rates.shape == (0,) and S.shape == (0, 10)
 
-
     def test_a_fit_convolves_through_one_convolver_per_job(self, monkeypatch):
         from prodflow import identify, transient
 

@@ -137,7 +137,7 @@ class TestTrapezoidConvolve:
         rng = np.random.default_rng(5)
         u, dt = rng.normal(size=50), 0.2
         conv = TrapezoidConvolver(u, dt)
-        # the buffers grow once, at 3 rows, and serve the smaller stack after it
+        # the buffers are made at 2 rows, grow at 3 and serve the smaller stack after it
         for rows in (2, 1, 3, 2):
             kernels = rng.normal(size=(rows, 50))
             got = conv(kernels, np.empty((rows, 50)))
