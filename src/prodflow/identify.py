@@ -18,9 +18,16 @@ Two estimators:
   Levenberg-Marquardt over log|rate| with every sign fixed, the gains
   projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
   refined residual wins, the pair start on a tie.  Between orders the
-  lowest residual wins, and ties go to the smaller model.  Each order
-  costs O(R^2 n) for R candidates and n samples, whatever k.  The whole
-  procedure is deterministic: same run and config, same model.
+  lowest residual wins, and ties go to the smaller model.  The search
+  never holds the candidates' responses: one streamed pass over the record
+  in time blocks of L samples gives their norms and, for the pair scan,
+  their Gram matrix, and each order correlates its own columns with the
+  input.  For R candidates and n samples the pair scan's Gram matrix costs
+  O(R^2 n) time once per fit, each order O(R n k), and search memory is
+  O(R L + R^2) whatever n.  The fit runs on copies of the input and output
+  scaled by powers of two, which is exact, so that growing-mode responses
+  to values near the overflow limit stay finite.  The whole procedure is
+  deterministic: same run and config, same model.
 
 Goodness of fit is NRMSE, 1 - ||y - yhat|| / ||y - mean(y)||: 1 is an
 exact match, 0 means no better than the mean.
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
-from .transient import TrapezoidConvolver, trapezoid_convolve
+from .transient import TrapezoidConvolver, trapezoid_convolve, trapezoid_ends
 
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
@@ -46,9 +53,10 @@ _SINGULAR_DET = 1e-10
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
-# padded FFT elements (2 per sample) per block of the candidate build: a
-# block's 1 MB buffers stay in cache (2^19 took 13 % longer at n=16000)
-_BLOCK_ELEMENTS = 1 << 17
+# samples per time block of the streamed candidate statistics
+_BLOCK = 256
+# FFT elements per rate chunk of a time block: a chunk's buffers stay in cache
+_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -153,28 +161,103 @@ class ModeBasis:
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
         self.tau, self.u, self.dt = tau, u, dt
         self._conv = TrapezoidConvolver(u, dt)
+        # where the input's first nonzero sample is, and the conjugate spectrum from there on
+        self._lead = int(np.argmax(u != 0.0))
+        self._corr_hat = np.fft.rfft(u[self._lead :], self._conv.nfft).conj()
 
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
         """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
         return self._conv(kernels, np.empty(kernels.shape))
 
-    def unit_responses(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rates whose kernels exp(-rate * tau) respond to ``u``, and those responses at unit norm.
+    def correlate(self, v: np.ndarray) -> np.ndarray:
+        """Cross-correlation C[m] = sum_p u[p] v[p + m], m < n, of ``u`` with one series on ``tau``.
 
-        Each block's kernels are built and convolved in place in its rows of
-        the result, through the build's own convolver (``convolve``'s would
-        keep block-sized buffers), so the build touches no fresh memory.
+        The input's leading zeros are left out of the FFT, so C is exactly 0 past the
+        lags they cover instead of rounding noise, which growing kernels would amplify.
         """
-        S, norms = np.empty((len(rates), len(self.tau))), np.empty(len(rates))
-        block, conv = max(1, _BLOCK_ELEMENTS // (2 * len(self.u))), TrapezoidConvolver(self.u, self.dt)
-        for lo in range(0, len(rates), block):
-            rows, nrm = S[lo : lo + block], norms[lo : lo + block, None]
-            np.multiply.outer(-rates[lo : lo + block], self.tau, out=rows)
-            conv(np.exp(rows, out=rows), rows)
-            nrm[:, 0] = np.linalg.norm(rows, axis=1)
-            np.divide(rows, nrm, out=rows, where=nrm > 0)
+        n, lead, nfft = len(v), self._lead, self._conv.nfft
+        C = np.zeros(n)
+        C[: n - lead] = np.fft.irfft(np.fft.rfft(v[lead:], nfft) * self._corr_hat, nfft)[: n - lead]
+        return C
+
+
+class Candidates:
+    """What the search reads of the candidates' unit-norm responses S, without holding S.
+
+    Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
+    One pass over the record in time blocks of L = ``_BLOCK`` samples gives the responses' ``norms``
+    and, with ``gram``, the Gram matrix ``gram`` = S S' (else None); ``dot`` gives S V for any columns V.
+    In a block starting at lo each response is the in-block convolution of the input with the kernel
+    heads a^j = exp(-rate * tau[j]), j < L, plus the rectangle sum z carried over from the blocks before,
+    z[lo + j] += a^(j+1) z[lo - 1] (Stockham 1966).  Decaying kernels convolve by FFT in rate chunks
+    that stay in cache.  Growing kernels would leave FFT rounding of the order of a^L on responses that
+    start far smaller, and the carry would spread it over the record, so they sum in order instead.
+    ``rates`` lists the growing (negative) rates first, as a sorted grid does.  Rates without a
+    response are dropped.  Memory is O(R L + R^2) for R rates, whatever the record length.
+    """
+
+    def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False):
+        u, n = basis.u, len(basis.u)
+        L, grow = min(_BLOCK, n), int(np.count_nonzero(rates < 0.0))
+        # heads[:, j] = a^j for j <= L; the spectrum holds j < L of the decaying kernels
+        heads = np.exp(np.multiply.outer(-rates, basis.tau[: L + 1]))
+        spec = np.fft.rfft(heads[grow:, :L], 2 * L)
+        chunk = max(1, _CHUNK_ELEMENTS // (2 * L))
+        prod = np.empty((min(chunk, len(rates)), L + 1), dtype=complex)
+        full = np.empty((len(prod), 2 * L))
+        block, carry, sq, G = np.empty((len(rates), L)), np.empty(len(rates)), np.zeros(len(rates)), None
+        for lo in range(0, n, L):
+            b, u_hat = min(L, n - lo), np.fft.rfft(u[lo : lo + L], 2 * L)
+            scale = np.exp(-rates * basis.tau[lo])
+            for c in [*range(0, grow, chunk), *range(grow, len(rates), chunk)]:
+                rows = slice(c, min(c + chunk, grow if c < grow else len(rates)))
+                r, h = rows.stop - c, heads[rows, : b + 1]
+                z, s = full[:r, :b], block[rows, :b]
+                if c < grow:
+                    # a^j sum_{q <= j} a^-q u[lo + q], summed in order
+                    np.cumsum(np.divide(u[lo : lo + b], h[:, :b], out=z), axis=1, out=z)
+                    z *= h[:, :b]
+                else:
+                    np.fft.irfft(np.multiply(spec[c - grow : c - grow + r], u_hat, out=prod[:r]), 2 * L, out=full[:r])
+                if lo:
+                    z += np.multiply(h[:, 1:], carry[rows, None], out=s)
+                carry[rows] = z[:, -1]
+                # the kernel a^(lo + j) at the block's samples is scale * heads[:, j]
+                trapezoid_ends(z, u[lo : lo + b], h[:, :b], scale[rows, None] * u[0], basis.dt, s)
+            s = block[:, :b]
+            sq += np.einsum("ij,ij->i", s, s)
+            if gram:
+                G = s @ s.T if G is None else np.add(G, s @ s.T, out=G)
+        norms = np.sqrt(sq)
         keep = norms > 0
-        return (rates, S) if keep.all() else (rates[keep], S[keep])
+        if not keep.all():
+            rates, norms, heads = rates[keep], norms[keep], heads[keep]
+            G = None if G is None else G[np.ix_(keep, keep)]
+        if G is not None:
+            G /= norms[:, None]
+            G /= norms
+        self.basis, self.L, self.rates, self.norms, self.heads, self.gram = basis, L, rates, norms, heads, G
+
+    def dot(self, V: np.ndarray) -> np.ndarray:
+        """S V for the columns of V (n, k), in the correlation form.
+
+        With C[m] = sum_p u[p] v[p + m], the cross-correlation of the input and a column v (one
+        FFT per column on the input spectrum the basis holds), row i's product is the trapezoid
+        rule applied to sums over the kernel: dt (sum_m a^m C[m] - (u.v + u0 sum_m a^m v[m]) / 2),
+        over the norm.  The sums over m run block by block on the kernel heads.
+        """
+        basis, L, k = self.basis, self.L, V.shape[1]
+        u, n = basis.u, len(basis.u)
+        W = np.empty((n, 2 * k))
+        for j in range(k):
+            W[:, j] = basis.correlate(V[:, j])
+        W[:, k:] = V
+        sums = np.zeros((len(self.rates), 2 * k))
+        for lo in range(0, n, L):
+            sums += np.exp(-self.rates * basis.tau[lo])[:, None] * (self.heads[:, : min(L, n - lo)] @ W[lo : lo + L])
+        out = trapezoid_ends(sums[:, :k], u @ V, sums[:, k:], u[0], basis.dt, np.empty((len(self.rates), k)))
+        out /= self.norms[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -283,26 +366,25 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
     return cur
 
 
-def extend_rate_set(S: np.ndarray, rates: np.ndarray, prev: Projection, m: int = 1) -> np.ndarray | None:
+def extend_rate_set(
+    rates: np.ndarray, SV: np.ndarray, G: np.ndarray | None, prev: Projection, m: int = 1
+) -> np.ndarray | None:
     """``prev``'s rates plus the ``m`` in {1, 2} candidates that lower the residual most.
 
-    ``S`` holds the candidates' unit-norm responses, one row per entry of
-    ``rates``.  Against ``prev``'s projection candidate s has residual
-    correlation c = s.r and squared norm d = 1 - |q's|^2, and it lowers the
-    squared residual by c^2 / d.  A pair lowers it by c' D^-1 c, where D is
-    the pair's block of the reduced Gram matrix S S' - (S q)(S q)'.  Sets
-    with prev.det * det <= _SINGULAR_DET are singular and skipped, and the
-    first set in lexicographic order wins exact ties.  None when every set
-    is singular.
+    The candidates' unit-norm responses S, one row per entry of ``rates``, enter through
+    SV = S [prev.q, prev.r] and, for pairs, their Gram matrix G = S S' (``Candidates``).
+    Against ``prev``'s projection candidate s has residual correlation c = s.r and squared
+    norm d = 1 - |q's|^2, and it lowers the squared residual by c^2 / d.  A pair lowers it
+    by c' D^-1 c, where D is the pair's block of the reduced Gram matrix G - (S q)(S q)'.
+    Sets with prev.det * det <= _SINGULAR_DET are singular and skipped, and the first set
+    in lexicographic order wins exact ties.  None when every set is singular.
     """
-    SQ = S @ prev.q
-    c = S @ prev.r
+    SQ, c = SV[:, :-1], SV[:, -1]
     if m == 1:
         det = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
         num = c * c
     else:
-        D = S @ S.T
-        D -= SQ @ SQ.T
+        D = G - SQ @ SQ.T
         i, j = np.triu_indices(len(rates), 1)
         d, dij = np.diagonal(D), D[i, j]
         det = d[i] * d[j] - dij * dij
@@ -342,26 +424,29 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         rates += [-r for r in grid if r * float(tau[-1]) <= _MAX_GROWTH_EXPONENT]
     rates = np.sort(np.asarray(rates))
 
-    # candidate mode responses, normalised so the reduced Gram matrices
-    # stay well conditioned
-    basis = ModeBasis(tau, u, dt)
-    rates, S = basis.unit_responses(rates)
+    # the search runs on u and y scaled by powers of two into [0.5, 1) at
+    # their largest: exact, and growing-mode responses cannot overflow
+    eu, ey = math.frexp(float(np.abs(u).max()))[1], math.frexp(float(np.abs(y).max()))[1]
+    basis, ys = ModeBasis(tau, np.ldexp(u, -eu), dt), np.ldexp(y, -ey)
+    cands = Candidates(basis, rates, gram=cfg.max_modes >= 2)
 
     # fits[k] is the refined fit of order k, None when it has no start
-    fits = [project(basis, y, np.empty(0), cfg.allow_impulse)]
+    fits = [project(basis, ys, np.empty(0), cfg.allow_impulse)]
     for k in range(1, cfg.max_modes + 1):
         starts = []
         for prev, m in ((fits[k - 2] if k >= 2 else None, 2), (fits[k - 1], 1)):
-            seed = None if prev is None else extend_rate_set(S, rates, prev, m)
-            if seed is not None and not any(np.array_equal(seed, s) for s in starts):
-                starts.append(seed)
+            if prev is not None:
+                SV = cands.dot(np.column_stack([prev.q, prev.r]))
+                seed = extend_rate_set(cands.rates, SV, cands.gram, prev, m)
+                if seed is not None and not any(np.array_equal(seed, s) for s in starts):
+                    starts.append(seed)
         fit = None
         for start in starts:
-            trial = refine(basis, y, start, cfg)
+            trial = refine(basis, ys, start, cfg)
             if trial is not None and (fit is None or trial.residual < fit.residual):
                 fit = trial
         fits.append(fit)
-    tie_tol = 1e-12 * yy
+    tie_tol = 1e-12 * math.ldexp(yy, -2 * ey)
     best = None
     for fit in fits[0 if cfg.allow_impulse else 1 :]:
         if fit is not None and (best is None or fit.residual < best.residual - tie_tol):
@@ -370,14 +455,18 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         raise ValueError("rate grid exhausted without a finite residual")
     if not len(best.rates) and best.impulse == 0.0:
         raise ValueError("output is orthogonal to every candidate response; nothing to identify")
-    modes = tuple(ExponentialMode(g, r) for r, g in sorted(zip(best.rates, best.gains)))
+    try:
+        impulse, gains = math.ldexp(best.impulse, ey - eu), [math.ldexp(g, ey - eu) for g in best.gains]
+    except OverflowError:
+        raise ValueError("fitted gains overflow; input and output scales are too far apart") from None
+    modes = tuple(ExponentialMode(g, r) for r, g in sorted(zip(best.rates, gains)))
     # one convolution per mode, scaled afterwards: a summed kernel would
     # carry FFT rounding of its largest gain into every sample
-    predicted = best.impulse * u
+    predicted = impulse * u
     for m in modes:
         predicted = predicted + m.gain * trapezoid_convolve(np.exp(-m.decay_rate * tau), u, dt)
     return FitResult(
-        ProductivityFunction(best.impulse, modes),
+        ProductivityFunction(impulse, modes),
         _nrmse(y, predicted, yy),
         float(np.linalg.norm(y - predicted)),
     )

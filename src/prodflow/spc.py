@@ -34,7 +34,7 @@ class ProcessMetrics:
 
 
 def _mean_std(values) -> tuple[float, float]:
-    """Mean and sample standard deviation of a validated, non-constant sample; both finite."""
+    """Mean and sample standard deviation of a validated sample whose spread exceeds rounding; both finite."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or len(v) < 2:
         raise ValueError("sample must be a 1-d sequence with at least 2 values")
@@ -46,6 +46,9 @@ def _mean_std(values) -> tuple[float, float]:
         raise ValueError("sample mean or standard deviation overflows; values are out of range")
     if s == 0.0:
         raise ValueError("sample standard deviation is zero")
+    # a spread within rounding of the mean carries no scale-invariant Cpk
+    if s <= 1e-12 * abs(mean):
+        raise ValueError("sample standard deviation is at most 1e-12 of the mean; the spread is at rounding level")
     return mean, s
 
 

@@ -120,14 +120,25 @@ class TrapezoidConvolver:
         np.fft.rfft(kernels, self.nfft, out=spec)
         spec *= self.u_hat
         np.fft.irfft(spec, self.nfft, out=full)
-        # trapezoid weights: minus half of the two endpoint products, summed
-        # in the columns of full past the result (nfft >= 2n)
-        ends = np.multiply(kernels[:, :1], self.u, out=full[:, n : 2 * n])
-        ends += np.multiply(kernels, self.u[0], out=out)
-        ends *= 0.5
-        np.subtract(full[:, :n], ends, out=out)
-        out *= self.dt
-        return out
+        # the columns of full past the result (nfft >= 2n) hold the products k[0] u[i]
+        head_u = np.multiply(kernels[:, :1], self.u, out=full[:, n : 2 * n])
+        return trapezoid_ends(full[:, :n], head_u, kernels, self.u[0], self.dt, out)
+
+
+def trapezoid_ends(rect, head_u, kernels, u0, dt, out):
+    """The trapezoid rule's endpoint terms and scale: dt * (rect - (head_u + kernels * u0) / 2) into ``out``.
+
+    ``rect`` holds rectangle-rule sums sum_j k[j] u[i - j] at times i, ``head_u`` the products
+    k[0] u[i], and ``kernels`` the kernel values k[i] at the same times; ``u0`` is the input at
+    lag 0.  ``out`` may be ``kernels``.  Every trapezoid convolution (``TrapezoidConvolver``, and
+    the streamed candidate statistics in ``identify``) weights its ends here.
+    """
+    np.multiply(kernels, u0, out=out)
+    out += head_u
+    out *= -0.5
+    out += rect
+    out *= dt
+    return out
 
 
 def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:

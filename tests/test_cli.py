@@ -1,5 +1,7 @@
 import json
+import math
 import shutil
+import warnings
 
 import pytest
 
@@ -167,6 +169,29 @@ class TestFit:
         captured = capsys.readouterr()
         assert captured.out == "" and not (tmp_path / "fit.txt").exists()
         assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
+
+    def test_values_near_the_overflow_limit_fit_without_warnings(self, tmp_path, capsys):
+        # finite sums of squares, but growing-mode responses up to e^150 times the input
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0,1e150,1e150\n1,1e150,2e150\n2,1e150,3e150\n3,1e150,1.5e150\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / "fit.txt")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        fitted = parse_model((tmp_path / "fit.txt").read_text())
+        assert all(math.isfinite(v) for v in summary.values())
+        assert math.isfinite(fitted.impulse_gain) and all(math.isfinite(m.gain) for m in fitted.modes)
+
+    def test_gains_past_the_float_range_are_user_error(self, tmp_path, capsys):
+        # y / u is about 1e310: every gain that fits overflows
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0,1e-160,1e150\n1,1e-160,2e150\n2,1e-160,3e150\n3,1e-160,1.5e150\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / "fit.txt")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fit.txt").exists()
+        assert len(captured.err.splitlines()) == 1 and "gains overflow" in captured.err
 
 
 class TestReport:

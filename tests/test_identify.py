@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from prodflow import (
     step_response,
 )
 from prodflow.identify import (
+    Candidates,
     ModeBasis,
     extend_rate_set,
     project,
@@ -226,6 +228,20 @@ class TestFitProductivity:
         result = fit_productivity(run, FitConfig(points_per_decade=6))
         assert result.gof >= fit_fdp(run).gof - 1e-12
 
+    def test_search_memory_does_not_grow_with_record_length(self):
+        # the same span at 4x the samples; a search that held every candidate's
+        # response (R x n) would peak about 4x higher
+        def peak(n):
+            run = step_run(P1, 100.0, 100.0 / n, noise=0.01, seed=1)
+            tracemalloc.start()
+            try:
+                fit_productivity(run, FitConfig(max_modes=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32000) < 2 * peak(8000)
+
     def test_mismatched_grids_are_resampled(self):
         t_in = np.arange(0.0, 10.0 + 1e-9, 0.1)
         t_out = np.arange(0.0, 10.0 + 1e-9, 0.15)
@@ -279,6 +295,11 @@ def unit_responses(basis, rates):
     return S / np.linalg.norm(S, axis=1)[:, None]
 
 
+def search_stats(S, prev):
+    """What extend_rate_set reads of the explicit unit responses S: S [q, r] and S S'."""
+    return S @ np.column_stack([prev.q, prev.r]), S @ S.T
+
+
 def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
     """Reference: one np.linalg.solve per added set, the first set wins ties."""
     A = np.vstack(([basis.u] if allow_impulse else []) + [unit_responses(basis, np.append(prev_rates, cands))])
@@ -297,17 +318,53 @@ def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
 
 
 class TestModeBasis:
+    # 20 growing rates up to rate * span = 49, and 280 decaying ones in two rate chunks;
+    # n = 700 takes three time blocks of 256, the last one partial
+    RATES = np.concatenate([-np.geomspace(0.1, 1.4, 20), np.geomspace(1e-3, 1e3, 280)])
+
+    def basis(self):
+        # the input starts away from 0, so the trapezoid's u[0] end term counts
+        tau = 0.05 * np.arange(700)
+        return ModeBasis(tau, 1.0 + 0.5 * np.sin(0.3 * tau), 0.05)
+
     def test_unit_responses_match_one_stacked_convolution(self):
-        # 300 rates at n = 400 take three blocks, the last one partial
-        basis, _ = mode_record(ProductivityFunction(1.0, ()), 0.05, 400)
-        rates = np.geomspace(1e-3, 1e3, 300)
-        kept, S = basis.unit_responses(rates)
-        assert kept is rates and np.array_equal(S, unit_responses(basis, rates))
+        basis = self.basis()
+        raw = basis.convolve(np.exp(-np.outer(self.RATES, basis.tau)))
+        S = unit_responses(basis, self.RATES)
+        cands = Candidates(basis, self.RATES, gram=True)
+        assert cands.rates is self.RATES and Candidates(basis, self.RATES).gram is None
+        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
+        assert np.abs(cands.gram - S @ S.T).max() < 1e-12
+
+    def test_correlation_form_matches_the_explicit_products(self):
+        basis = self.basis()
+        V = np.random.default_rng(4).standard_normal((700, 3))
+        # unit rows: every product is at most |v| ~ 26 in size
+        assert np.abs(Candidates(basis, self.RATES).dot(V) - unit_responses(basis, self.RATES) @ V).max() < 1e-12
+
+    def test_growing_kernels_stay_accurate_after_leading_zeros(self):
+        # the input is off until t = 5, so the rate -7 response starts e^35 below its end
+        tau = 0.05 * np.arange(400)
+        u = np.where(tau >= 5.0, 1.0 + 0.2 * np.sin(tau), 0.0)
+        rates = np.array([-7.0, -3.0, 0.5])
+        # reference: the rectangle sums by recursion, z[i] = a z[i - 1] + u[i], and the trapezoid ends
+        S = np.empty((3, 400))
+        for row, rate in zip(S, rates):
+            a, z = math.exp(-rate * 0.05), 0.0
+            for i, x in enumerate(u):
+                z = a * z + x
+                row[i] = 0.05 * (z - 0.5 * (x + math.exp(-rate * tau[i]) * u[0]))
+        cands = Candidates(ModeBasis(tau, u, 0.05), rates)
+        assert cands.norms == pytest.approx(np.linalg.norm(S, axis=1), rel=1e-12)
+        V = np.random.default_rng(5).standard_normal((400, 2))
+        expected = S / np.linalg.norm(S, axis=1)[:, None] @ V
+        assert np.abs(cands.dot(V) - expected).max() < 1e-12
 
     def test_rates_without_a_response_are_dropped(self):
         t = np.linspace(0.0, 1.0, 10)
-        rates, S = ModeBasis(t, np.zeros(10), t[1]).unit_responses(np.array([0.5, 2.0]))
-        assert rates.shape == (0,) and S.shape == (0, 10)
+        cands = Candidates(ModeBasis(t, np.zeros(10), t[1]), np.array([0.5, 2.0]), gram=True)
+        assert cands.rates.shape == (0,) and cands.gram.shape == (0, 0)
+        assert cands.dot(np.ones((10, 2))).shape == (0, 2)
 
     def test_a_fit_convolves_through_one_convolver_per_job(self, monkeypatch):
         from prodflow import identify, transient
@@ -323,8 +380,8 @@ class TestModeBasis:
         monkeypatch.setattr(identify, "TrapezoidConvolver", Counting)
         two = ProductivityFunction(0.3, (ExponentialMode(0.8, 0.9), ExponentialMode(-0.2, 0.15)))
         fit = fit_productivity(step_run(two, 30.0, 0.1, noise=0.01, seed=3), FitConfig(max_modes=2))
-        # the refinement's, the candidate build's and one per mode for the prediction
-        assert len(fit.model.modes) == 2 and len(made) <= 2 + len(fit.model.modes)
+        # the refinement's and one per mode for the prediction
+        assert len(fit.model.modes) == 2 and len(made) <= 1 + len(fit.model.modes)
 
 
 class TestGridScan:
@@ -344,7 +401,8 @@ class TestGridScan:
             else:
                 prev = project(basis, y, np.empty(0), allow_impulse)
             ref_res, ref_rates = brute_force_extension(basis, y, list(prev.rates), allow_impulse, self.CANDS, m)
-            rates = extend_rate_set(unit_responses(basis, self.CANDS), self.CANDS, prev, m) if m else prev.rates
+            S = unit_responses(basis, self.CANDS)
+            rates = extend_rate_set(self.CANDS, *search_stats(S, prev), prev, m) if m else prev.rates
             assert list(rates) == ref_rates
             assert project(basis, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
 
@@ -366,9 +424,9 @@ class TestGridScan:
         S[3] = S[1]  # candidates 1 and 3 have the same response
         y = S[1] + 0.4 * S[4] + 0.002 * np.random.default_rng(7).standard_normal(len(basis.u))
         prev = project(basis, y, np.empty(0), False)
-        assert list(extend_rate_set(S, cands, prev, 1)) == [0.1]
+        assert list(extend_rate_set(cands, *search_stats(S, prev), prev, 1)) == [0.1]
         # (1, 4) and (3, 4) score bit for bit the same; (1, 3) is singular
-        assert list(extend_rate_set(S, cands, prev, 2)) == [0.1, 3.0]
+        assert list(extend_rate_set(cands, *search_stats(S, prev), prev, 2)) == [0.1, 3.0]
 
     def test_all_singular_is_none(self):
         t = np.linspace(0.0, 1.0, 10)
@@ -378,9 +436,11 @@ class TestGridScan:
         S = basis.u + 1e-6 * np.random.default_rng(3).standard_normal((3, 10))
         S /= np.linalg.norm(S, axis=1)[:, None]
         cands = np.array([0.1, 1.0, 10.0])
-        assert extend_rate_set(S, cands, project(basis, np.ones(10), np.empty(0), False), 2) is None
+        prev = project(basis, np.ones(10), np.empty(0), False)
+        assert extend_rate_set(cands, *search_stats(S, prev), prev, 2) is None
         # every candidate nearly repeats the impulse column
-        assert extend_rate_set(S, cands, project(basis, np.ones(10), np.empty(0), True), 1) is None
+        prev = project(basis, np.ones(10), np.empty(0), True)
+        assert extend_rate_set(cands, *search_stats(S, prev), prev, 1) is None
 
     def test_pair_start_finds_what_single_additions_miss(self):
         # a difference of two close exponentials: the best single rate plus
@@ -441,7 +501,7 @@ class TestRefine:
         S /= np.linalg.norm(S, axis=1)[:, None]
         # the candidate equal to the previous rate is singular and skipped
         ref = min((project(basis, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
-        assert list(extend_rate_set(S, cands, prev)) == sorted([0.35, ref[1]])
+        assert list(extend_rate_set(cands, *search_stats(S, prev), prev)) == sorted([0.35, ref[1]])
 
     def test_growing_mode_stays_within_the_cutoff(self):
         basis, y = self.record(dt=0.1, n=200)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from prodflow import (
     SpecLimits,
@@ -114,11 +114,20 @@ class TestSampleMetrics:
         st.lists(st.floats(0.1, 100), min_size=3, max_size=20).filter(lambda v: max(v) > min(v)),
         st.floats(0.01, 100),
     )
+    @example(values=[0.1, 0.1, 0.10000000000000002], k=0.01)
+    @example(values=[0.1, 0.1, 0.10000000000000002], k=0.01171875)
     def test_scale_invariance(self, values, k):
         v = np.asarray(values)
         lims = SpecLimits(float(v.max()) + 1.0, float(v.min()) - 1.0)
         lims_k = SpecLimits(k * lims.usl, k * lims.lsl)
-        base = sample_metrics(v, lims)
+        try:
+            base = sample_metrics(v, lims)
+        except ValueError as exc:
+            # a spread at rounding level has no scale-invariant Cpk: rejected at every scale
+            assert "rounding level" in str(exc)
+            with pytest.raises(ValueError, match="rounding level|is zero"):
+                sample_metrics(k * v, lims_k)
+            return
         scaled = sample_metrics(k * v, lims_k)
         assert scaled.cv == pytest.approx(base.cv, rel=1e-9)
         assert scaled.cpk == pytest.approx(base.cpk, rel=1e-9)
