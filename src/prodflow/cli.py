@@ -12,6 +12,8 @@ import math
 import sys
 import traceback
 
+import numpy as np
+
 from . import __version__
 from .identify import FitConfig, fit_fdp, fit_productivity
 from .ingest import ingest_cases, ingest_run, load_model, read_chain_csv, read_sample_csv, write_run_csv
@@ -96,7 +98,7 @@ def _build_parser() -> _Parser:
 def _cmd_step(args) -> int:
     pf = load_model(args.model)
     response = step_response(pf, args.horizon, args.dt)
-    write_run_csv(args.out, response.t, [1.0] * len(response), response.values)
+    write_run_csv(args.out, response.t, np.ones(len(response)), response.values)
     if args.svg:
         emit_step_plot([(args.model, response)], args.svg)
     return 0

@@ -2,7 +2,7 @@
 
 Formats (all UTF-8):
 
-* run CSV: header ``t,u,y``, one sample per row, ascending t.
+* run CSV: header ``t,u,y``, one sample per row, strictly ascending t.
 * sample CSV: header ``y``, one output value per row.
 * chain CSV: header ``u,ce``, one station per row.
 * case directory: a ``case.txt`` of ``key = value`` lines ('#' comments)
@@ -10,12 +10,22 @@ Formats (all UTF-8):
   the directory) and optionally ``metrics`` (path to a one-row CSV with
   header ``cpk,pp,sigma_d,rate_d,cv``) and ``note`` (free text carried
   into the report).
+
+The CSV readers accept a leading byte-order mark.  They split rows with
+``csv.reader``: comma-separated, cells optionally in double quotes (a
+quoted cell may span lines), LF, CRLF or CR line ends, blank lines
+skipped.  Each cell is parsed with Python's ``float``, so surrounding
+spaces, exponents and ``1_0`` are accepted; ``nan``, ``inf`` and values
+that overflow (``1e400``) are rejected.  An error names the file line on
+which the bad row starts.  ``write_run_csv`` writes CRLF line ends and
+each value as its shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +34,9 @@ from .flowchain import ChainNode
 from .model import ProcessRun, ProductivityFunction, TimeSeries, parse_model
 from .report import CaseRecord
 from .spc import ProcessMetrics, classify_variability
+
+
+_ROWS = 1024  # csv records converted, or rows written, per block
 
 
 class CsvFormatError(ValueError):
@@ -40,75 +53,137 @@ def load_model(path: str | Path) -> ProductivityFunction:
     return parse_model(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> list[list[float]]:
-    """The numeric rows under the header; with ``timestamps`` the first column must increase."""
-    rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> np.ndarray:
+    """The numeric rows under the header as an (n, len(columns)) array.
+
+    With ``timestamps`` the first column must increase.  Rows are split by
+    ``csv.reader`` and converted ``_ROWS`` records at a time; the first bad
+    row in file order raises, naming the file line on which it starts.
+    """
+    width = len(columns)
+    blocks = []
+    last = -math.inf if timestamps else None  # the previous row's timestamp
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError("empty file", path)
+            if [h.strip() for h in header] != list(columns):
+                raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
+            record = 2  # csv record number of the block's first row; the header is 1
+            while block := list(islice(reader, _ROWS)):
+                kept = [i for i, row in enumerate(block) if len(row) > 1 or (row and row[0].strip())]
+                rows = block if len(kept) == len(block) else [block[i] for i in kept]
+                values, fault = _convert_block(rows, width, last)
+                if fault is not None:
+                    i, message = fault
+                    raise CsvFormatError(message, path, _line_of(path, record + kept[i]))
+                if len(values):
+                    blocks.append(values)
+                    if timestamps:
+                        last = values[-1, 0]
+                record += len(block)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not UTF-8 text ({exc.reason})", path) from None
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _convert_block(rows: list[list[str]], width: int, last: float | None):
+    """Parse non-blank rows into an array, up to the first bad row.
+
+    Returns the values and that row's ``(index, message)``, or None when
+    every row is good.  ``last`` is the timestamp before the block, or
+    None when the first column is no timestamp.
+    """
+    def parse(stop: int) -> np.ndarray:
+        return np.fromiter(map(float, chain.from_iterable(rows[:stop])), float, stop * width).reshape(stop, width)
+
+    stop, fault = len(rows), None
+    if set(map(len, rows)) - {width}:
+        stop = next(i for i, row in enumerate(rows) if len(row) != width)
+        fault = (stop, f"expected {width} fields, got {len(rows[stop])}")
+    try:
+        values = parse(stop)
+    except ValueError:
+        stop = next(i for i, row in enumerate(rows) if not _numeric(row))
+        fault = (stop, f"non-numeric field in {rows[stop]!r}")
+        values = parse(stop)
+    bad = ~np.isfinite(values).all(axis=1)
+    late = np.zeros(stop, dtype=bool)
+    if last is not None and stop:
+        t = values[:, 0]
+        late = ~(t > np.concatenate(([last], t[:-1])))
+    if (bad | late).any():
+        i = int(np.argmax(bad | late))  # a row can fail both; its non-finite value is reported first
+        if bad[i]:
+            fault = (i, f"non-finite value in {rows[i]!r}")
+        else:
+            fault = (i, f"timestamp {float(values[i, 0])!r} does not increase over the previous row")
+    return values, fault
+
+
+def _numeric(row: list[str]) -> bool:
+    try:
+        for cell in row:
+            float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _line_of(path: str | Path, record: int) -> int:
+    """The file line on which csv record ``record`` (the header is 1) starts."""
+    line = 1
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError("empty file", path)
-        if [h.strip() for h in header] != list(columns):
-            raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns):
-                raise CsvFormatError(f"expected {len(columns)} fields, got {len(row)}", path, lineno)
-            try:
-                vals = [float(cell) for cell in row]
-            except ValueError:
-                raise CsvFormatError(f"non-numeric field in {row!r}", path, lineno) from None
-            if not all(math.isfinite(v) for v in vals):
-                raise CsvFormatError(f"non-finite value in {row!r}", path, lineno)
-            if timestamps and rows and vals[0] <= rows[-1][0]:
-                raise CsvFormatError(f"timestamp {vals[0]!r} does not increase over the previous row", path, lineno)
-            rows.append(vals)
-    return rows
+        for _ in islice(reader, record - 1):
+            line = reader.line_num + 1
+    return line
 
 
 def ingest_run(path: str | Path, total_time: float | None = None) -> ProcessRun:
     """Read a t,u,y run; total_time defaults to the last timestamp."""
-    rows = _read_table(path, ("t", "u", "y"), timestamps=True)
-    if len(rows) < 2:
+    table = _read_table(path, ("t", "u", "y"), timestamps=True)
+    if len(table) < 2:
         raise CsvFormatError("a run needs at least 2 samples", path)
-    t = np.array([r[0] for r in rows])
-    u = np.array([r[1] for r in rows])
-    y = np.array([r[2] for r in rows])
+    t, u, y = table.T
     tt = total_time if total_time is not None else float(t[-1])
     return ProcessRun(TimeSeries(t, u), TimeSeries(t, y), tt)
 
 
 def write_run_csv(path: str | Path, t, u, y) -> None:
+    """Write a t,u,y run: CRLF line ends, each value as its shortest round-trip ``repr``."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in (t, u, y)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "u", "y"))
-        for row in zip(t, u, y):
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("t,u,y\r\n")
+        for lo in range(0, len(table), _ROWS):
+            block = table[lo : lo + _ROWS]
+            fh.write("%r,%r,%r\r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_sample_csv(path: str | Path) -> np.ndarray:
-    rows = _read_table(path, ("y",))
-    if len(rows) < 2:
+    table = _read_table(path, ("y",))
+    if len(table) < 2:
         raise CsvFormatError("a sample needs at least 2 values", path)
-    return np.array([r[0] for r in rows])
+    return table[:, 0]
 
 
 def read_chain_csv(path: str | Path) -> list[ChainNode]:
-    rows = _read_table(path, ("u", "ce"))
-    if not rows:
+    table = _read_table(path, ("u", "ce"))
+    if not len(table):
         raise CsvFormatError("chain file has no stations", path)
     try:
-        return [ChainNode(u, ce) for u, ce in rows]
+        return [ChainNode(u, ce) for u, ce in table.tolist()]
     except ValueError as exc:
         raise CsvFormatError(str(exc), path) from None
 
 
 def read_metrics_csv(path: str | Path) -> ProcessMetrics:
-    rows = _read_table(path, ("cpk", "pp", "sigma_d", "rate_d", "cv"))
-    if len(rows) != 1:
+    table = _read_table(path, ("cpk", "pp", "sigma_d", "rate_d", "cv"))
+    if len(table) != 1:
         raise CsvFormatError("metrics file must have exactly one data row", path)
-    cpk, pp, sigma_d, rate_d, cv = rows[0]
+    cpk, pp, sigma_d, rate_d, cv = table[0].tolist()
     return ProcessMetrics(cpk, pp, sigma_d, rate_d, cv, classify_variability(cv))
 
 

@@ -5,8 +5,12 @@ Output is deterministic: the same curves produce byte-identical files.
 
 from __future__ import annotations
 
+import math
+import sys
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .model import TimeSeries
 
@@ -28,16 +32,25 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
     y_min = min(float(ts.values.min()) for _, ts in curves)
     y_max = max(float(ts.values.max()) for _, ts in curves)
     if y_min == y_max:
-        y_min, y_max = y_min - 0.5, y_max + 0.5
+        y = y_min
+        y_min, y_max = y - 0.5, y + 0.5
+        if y_min == y_max:  # 0.5 rounds away at this magnitude: pad relative to it, within the float range
+            pad = abs(y) * 2.0**-20
+            y_min, y_max = max(y - pad, -sys.float_info.max), min(y + pad, sys.float_info.max)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # a y range past the float maximum is mapped in eighths (exact), so that even
+    # the tick arithmetic below stays finite
+    scale = 0.125 if math.isinf(y_max - y_min) else 1.0
+
+    # px and py map a number or, with the same rounding per element, an array
+    def px(x):
         return _MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
-    def py(y: float) -> float:
-        return _MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+    def py(y):
+        return _MARGIN_T + (y_max * scale - y * scale) / (y_max * scale - y_min * scale) * plot_h
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -51,7 +64,7 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
     lines.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="#000" stroke-width="1"/>')
     for i in range(5):
         fx = x_min + (x_max - x_min) * i / 4
-        fy = y_min + (y_max - y_min) * i / 4
+        fy = (y_min * scale + (y_max * scale - y_min * scale) * i / 4) / scale
         lines.append(
             f'<text x="{px(fx):.2f}" y="{bottom + 16}" text-anchor="middle" '
             f'font-size="11" font-family="sans-serif">{fx:.6g}</text>'
@@ -70,7 +83,8 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
     )
     for idx, (name, ts) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(ts.t, ts.values))
+        xy = np.column_stack((px(ts.t), py(ts.values)))
+        pts = " ".join(["%.2f,%.2f"] * len(ts)) % tuple(xy.ravel().tolist())
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = top + 14 + idx * 18
         lines.append(f'<line x1="{right + 12}" y1="{ly}" x2="{right + 34}" y2="{ly}" stroke="{color}" stroke-width="2"/>')

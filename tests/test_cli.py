@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import warnings
 
@@ -29,6 +30,28 @@ class TestStep:
         rc = run_cli("step", "--model", str(cases_dir / "case1/model.txt"),
                      "--horizon", "5", "--dt", "0.5", "--out", str(out), "--svg", str(svg))
         assert rc == 0 and svg.read_text().count("<polyline") == 1
+
+    def test_shipped_step_outputs(self, cases_dir, tmp_path, monkeypatch):
+        # the checked-in outputs are exactly what this command writes; the model path is the legend
+        monkeypatch.chdir(cases_dir.parent)
+        out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        rc = run_cli("step", "--model", "cases/case1/model.txt", "--horizon", "20", "--dt", "0.05",
+                     "--out", str(out), "--svg", str(svg))
+        assert rc == 0
+        shipped = cases_dir.parent / "out"
+        assert out.read_bytes() == (shipped / "step_case1.csv").read_bytes()
+        assert svg.read_bytes() == (shipped / "step_case1.svg").read_bytes()
+
+    @pytest.mark.parametrize("level", ["9e15", "1e300"])
+    def test_flat_plot_at_large_magnitude(self, tmp_path, capsys, level):
+        model = tmp_path / "m.txt"
+        model.write_text(f"impulse {level}\n")
+        out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        rc = run_cli("step", "--model", str(model), "--horizon", "10", "--dt", "0.5", "--out", str(out), "--svg", str(svg))
+        assert rc == 0 and capsys.readouterr().err == ""
+        (points,) = re.findall(r'points="([^"]*)"', svg.read_text())
+        coords = [float(c) for pair in points.split() for c in pair.split(",")]
+        assert len(coords) == 2 * 21 and all(math.isfinite(c) for c in coords)
 
     def test_oversized_grid_is_user_error(self, cases_dir, tmp_path, monkeypatch, capsys):
         import prodflow.cli as cli_mod

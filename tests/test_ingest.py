@@ -1,15 +1,87 @@
-import pytest
+import csv
+import math
+from unittest import mock
 
-from prodflow import ModelFormatError
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prodflow import ModelFormatError, ingest
 from prodflow.ingest import (
     CsvFormatError,
+    _read_table,
     ingest_cases,
     ingest_run,
     load_model,
     read_chain_csv,
     read_metrics_csv,
     read_sample_csv,
+    write_run_csv,
 )
+
+
+def reference_table(path, columns, timestamps=False):
+    """Row-by-row ``_read_table``: one ``float`` per cell and one check per row."""
+    rows = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("empty file", path)
+        if [h.strip() for h in header] != list(columns):
+            raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(columns):
+                raise CsvFormatError(f"expected {len(columns)} fields, got {len(row)}", path, lineno)
+            try:
+                vals = [float(cell) for cell in row]
+            except ValueError:
+                raise CsvFormatError(f"non-numeric field in {row!r}", path, lineno) from None
+            if not all(math.isfinite(v) for v in vals):
+                raise CsvFormatError(f"non-finite value in {row!r}", path, lineno)
+            if timestamps and rows and vals[0] <= rows[-1][0]:
+                raise CsvFormatError(f"timestamp {vals[0]!r} does not increase over the previous row", path, lineno)
+            rows.append(vals)
+    return np.array(rows, dtype=float).reshape(len(rows), len(columns))
+
+
+def reference_run_csv(path, t, u, y):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "u", "y"))
+        for row in zip(t, u, y):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+_NUMBER = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str))
+_ODD = st.sampled_from(["nan", "-inf", "1e400", "x", "", " 2 ", "1_0", '"3"', '"4\n"', '" 5 "', '"6\r\n"', '"7,"'])
+
+
+@st.composite
+def csv_tables(draw):
+    """(text, columns, timestamps): mostly valid tables with blank lines, odd cells and bad rows."""
+    width = draw(st.integers(1, 3))
+    columns = ("t", "u", "y")[:width]
+    timestamps = draw(st.booleans())
+    lines = [draw(st.sampled_from(["", "\ufeff", " "])) + ",".join(columns)]
+    t = 0
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["odd", "blank", "spaces", "short", "long"]))
+        t += draw(st.sampled_from([1, 1, 1, 1, 0, -1]))
+        cells = [repr(t * 0.5)] + [draw(_NUMBER) for _ in range(width - 1)]
+        if kind == "odd":
+            cells[draw(st.integers(0, width - 1))] = draw(_ODD)
+        elif kind == "short":
+            cells = cells[:-1] if width > 1 else []
+        elif kind == "long":
+            cells.append("1")
+        lines.append({"blank": "", "spaces": "  "}.get(kind, ",".join(cells)))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    return "".join(a + b for a, b in zip(lines, ends)), columns, timestamps
 
 
 class TestRunCsv:
@@ -54,6 +126,61 @@ class TestRunCsv:
         p.write_text("t,u,y\n0,1\n")
         with pytest.raises(CsvFormatError, match="fields"):
             ingest_run(p)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        p = tmp_path / "run.csv"
+        p.write_bytes("\ufefft,u,y\r\n0,1,0.5\r\n1,1,0.8\r\n".encode("utf-8"))
+        assert list(ingest_run(p).output.values) == [0.5, 0.8]
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "run.csv"
+        p.write_bytes(b"t,u,y\n0,1,0.5\n1,1,\xff0.8\n")
+        with pytest.raises(CsvFormatError) as exc:
+            ingest_run(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text (invalid start byte)"
+
+    def test_row_is_the_file_line_after_a_multiline_cell(self, tmp_path):
+        p = tmp_path / "run.csv"
+        p.write_text('t,u,y\n0,1,0.5\n"1\n",1,2\n2,1,0.9\n2,1,1\n')
+        with pytest.raises(CsvFormatError) as exc:
+            ingest_run(p)
+        assert exc.value.row == 6 and "row 6: timestamp 2.0 does not increase" in str(exc.value)
+
+
+class TestBlocks:
+    """The block conversion against row-by-row references, with blocks of a few rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables(), rows=st.integers(1, 4))
+    def test_read_table_matches_row_by_row(self, tmp_path_factory, table, rows):
+        text, columns, timestamps = table
+        p = tmp_path_factory.getbasetemp() / "table.csv"
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_table(p, columns, timestamps)
+        except CsvFormatError as exc:
+            want = exc
+        with mock.patch.object(ingest, "_ROWS", rows):
+            try:
+                got = _read_table(p, columns, timestamps)
+            except CsvFormatError as exc:
+                got = exc
+        if isinstance(want, CsvFormatError):
+            assert isinstance(got, CsvFormatError), text
+            assert (str(got), got.row) == (str(want), want.row)
+        else:
+            assert isinstance(got, np.ndarray), str(got)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(values=st.lists(st.tuples(*[st.floats(width=64)] * 3), max_size=12), rows=st.integers(1, 4))
+    def test_run_csv_bytes_match_csv_writer(self, tmp_path_factory, values, rows):
+        t, u, y = (np.array([v[i] for v in values]) for i in range(3))
+        base = tmp_path_factory.getbasetemp()
+        reference_run_csv(base / "want.csv", t, u, y)
+        with mock.patch.object(ingest, "_ROWS", rows):
+            write_run_csv(base / "got.csv", t, u, y)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
 
 
 class TestOtherReaders:

@@ -1,8 +1,10 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 from prodflow import (
@@ -16,6 +18,7 @@ from prodflow import (
     step_response,
     write_report_csv,
 )
+from prodflow import svgplot
 from prodflow.ingest import ingest_cases
 from prodflow.spc import classify_variability
 from expected import CASE_ORDER, CASE_TABLE, P1
@@ -23,6 +26,28 @@ from expected import CASE_ORDER, CASE_TABLE, P1
 
 def table_cases(cases_dir):
     return ingest_cases(cases_dir)
+
+
+def polyline_points(svg: str) -> list[str]:
+    return re.findall(r'points="([^"]*)"', svg)
+
+
+def reference_points(curves) -> list[str]:
+    """Per-point f-strings of each polyline, for curves that are not all flat."""
+    x_min = min(float(ts.t[0]) for _, ts in curves)
+    x_max = max(float(ts.t[-1]) for _, ts in curves)
+    y_min = min(float(ts.values.min()) for _, ts in curves)
+    y_max = max(float(ts.values.max()) for _, ts in curves)
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def px(x: float) -> float:
+        return svgplot._MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+
+    def py(y: float) -> float:
+        return svgplot._MARGIN_T + (y_max - y) / (y_max - y_min) * plot_h
+
+    return [" ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(ts.t, ts.values)) for _, ts in curves]
 
 
 class TestBuildReport:
@@ -163,9 +188,53 @@ class TestStepPlot:
         emit_step_plot([("flat", flat)], out)
         assert out.read_text().count("<polyline") == 1
 
+    @pytest.mark.parametrize("level", [3.0, 9e15, -9e15, 1e300, sys.float_info.max, -sys.float_info.max])
+    def test_flat_curves_at_any_magnitude(self, tmp_path, level):
+        flat = TimeSeries([0.0, 1.0, 2.0], [level] * 3)
+        out = tmp_path / "flat.svg"
+        emit_step_plot([("a", flat), ("b", flat)], out)
+        svg = out.read_text()
+        for points in polyline_points(svg):
+            ys = [float(pair.split(",")[1]) for pair in points.split()]
+            assert all(24.0 <= y <= 472.0 for y in ys)
+        if level == 3.0:  # where +-0.5 survives rounding it is the padding
+            assert ">2.5</text>" in svg and ">3.5</text>" in svg
+
+    @pytest.mark.parametrize("level", [1e308, sys.float_info.max])
+    def test_range_past_the_float_maximum(self, tmp_path, level):
+        out = tmp_path / "wide.svg"
+        emit_step_plot([("hi", TimeSeries([0.0, 1.0], [level] * 2)), ("lo", TimeSeries([0.0, 1.0], [-level] * 2))], out)
+        svg = out.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert [p.split()[0].split(",")[1] for p in polyline_points(svg)] == ["24.00", "472.00"]
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_step_plot([], tmp_path / "x.svg")
+
+    def test_points_match_per_point_format(self, cases_dir, tmp_path):
+        # coordinates that are odd multiples of 1/8 sit half-way between two .2f outputs
+        n = 596 * 8 + 1
+        halves = TimeSeries(np.arange(n) / 8.0, (np.arange(n) % 3585) / 8.0)
+        for curves in (self.curves(cases_dir), [("halves", halves)]):
+            out = tmp_path / "fig.svg"
+            emit_step_plot(curves, out)
+            assert polyline_points(out.read_text()) == reference_points(curves)
+        x = svgplot._MARGIN_L + halves.t / 596 * 596
+        y = svgplot._MARGIN_T + (448 - halves.values) / 448 * 448
+        assert np.count_nonzero(x * 8 % 2 == 1) > 1000 and np.count_nonzero(y * 8 % 2 == 1) > 1000
+
+    @given(
+        steps=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+        values=st.lists(st.floats(-1e12, 1e12), min_size=41, max_size=41),
+    )
+    def test_points_match_per_point_format_random(self, tmp_path_factory, steps, values):
+        t = np.concatenate(([0.0], np.cumsum(steps)))
+        ts = TimeSeries(t, values[: len(t)])
+        assume(ts.values.min() < ts.values.max())
+        out = tmp_path_factory.getbasetemp() / "random.svg"
+        emit_step_plot([("r", ts)], out)
+        assert polyline_points(out.read_text()) == reference_points([("r", ts)])
 
 
 def test_ingested_class_matches_reported_variability(cases_dir):
