@@ -20,9 +20,9 @@ from .ingest import ingest_cases, ingest_run, load_model, read_chain_csv, read_s
 from .flowchain import propagate_chain
 from .model import format_model, is_stable
 from .report import build_report, spearman_rank, write_report_csv
-from .spc import SpecLimits, sample_metrics
+from .spc import METRIC_COLUMNS, SpecLimits, sample_metrics
 from .svgplot import emit_step_plot
-from .transient import SettlingConfig, classify_steadiness, percentile_reaction_time, settling_time, step_response
+from .transient import BAND_MODES, SettlingConfig, classify_steadiness, percentile_reaction_time, settling_time, step_response
 
 
 class UsageError(Exception):
@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("settle", help="settling time and steadiness of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=_finite, default=0.02, help="band half-width fraction")
-    p.add_argument("--band", choices=["amplitude", "final"], default="amplitude")
+    p.add_argument("--epsilon", type=_finite, default=SettlingConfig.epsilon, help="band half-width fraction")
+    p.add_argument("--band", choices=BAND_MODES, default=SettlingConfig.band_mode)
     p.add_argument("--total-time", type=_finite, help="total process time, enables reaction %%")
     p.set_defaults(func=_cmd_settle)
 
@@ -89,8 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cases", required=True, help="directory of case subdirectories")
     p.add_argument("--out", required=True, help="report CSV path")
     p.add_argument("--plot", help="also write the step responses to this SVG file")
-    p.add_argument("--epsilon", type=_finite, default=0.02)
-    p.add_argument("--band", choices=["amplitude", "final"], default="amplitude")
+    p.add_argument("--epsilon", type=_finite, default=SettlingConfig.epsilon)
+    p.add_argument("--band", choices=BAND_MODES, default=SettlingConfig.band_mode)
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -126,7 +126,7 @@ def _cmd_metrics(args) -> int:
         raise UsageError("--usl and --lsl must be given together")
     limits = SpecLimits(args.usl, args.lsl) if args.usl is not None else None
     m = sample_metrics(read_sample_csv(args.sample), limits)
-    for key in ("cpk", "pp", "sigma_d", "rate_d", "cv"):
+    for key in METRIC_COLUMNS:
         print(f"{key}: {getattr(m, key)!r}")
     print(f"variability_class: {m.variability_class}")
     return 0

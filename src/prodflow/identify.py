@@ -27,7 +27,10 @@ Two estimators:
   O(R L + R^2) whatever n.  The fit runs on copies of the input and output
   scaled by powers of two, which is exact, so that growing-mode responses
   to values near the overflow limit stay finite.  The whole procedure is
-  deterministic: same run and config, same model.
+  deterministic at a fixed BLAS thread count: same run, config and thread
+  count, same model.  Threaded BLAS sums dot products in an order set by
+  the thread count, so on long records the last digits of a fit can
+  change with it.
 
 Goodness of fit is NRMSE, 1 - ||y - yhat|| / ||y - mean(y)||: 1 is an
 exact match, 0 means no better than the mean.
@@ -155,7 +158,7 @@ class ModeBasis:
     """Trapezoid-rule responses of exponential kernels to one recorded input.
 
     Holds the record's lag times ``tau``, input ``u`` and step ``dt``, and the
-    ``TrapezoidConvolver`` that every ``convolve`` call reuses: one input FFT per fit.
+    ``TrapezoidConvolver`` that every ``convolve`` call reuses.
     """
 
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
@@ -167,7 +170,7 @@ class ModeBasis:
 
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
         """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
-        return self._conv(kernels, np.empty(kernels.shape))
+        return self._conv(kernels)
 
     def correlate(self, v: np.ndarray) -> np.ndarray:
         """Cross-correlation C[m] = sum_p u[p] v[p + m], m < n, of ``u`` with one series on ``tau``.

@@ -1,17 +1,21 @@
 """File ingestion: model files, run/sample/chain CSVs, and case directories.
 
-Formats (all UTF-8):
+Formats:
 
 * run CSV: header ``t,u,y``, one sample per row, strictly ascending t.
 * sample CSV: header ``y``, one output value per row.
 * chain CSV: header ``u,ce``, one station per row.
-* case directory: a ``case.txt`` of ``key = value`` lines ('#' comments)
-  with keys ``name``, ``tt``, ``model`` (path to a model file, relative to
-  the directory) and optionally ``metrics`` (path to a one-row CSV with
-  header ``cpk,pp,sigma_d,rate_d,cv``) and ``note`` (free text carried
-  into the report).
+* case directory: a ``case.txt`` of ``key = value`` lines, with the '#'
+  comments and blank lines of model files, and keys ``name``, ``tt``,
+  ``model`` (path to a model file, relative to the directory) and
+  optionally ``metrics`` (path to a one-row CSV with header
+  ``cpk,pp,sigma_d,rate_d,cv``) and ``note`` (free text carried into the
+  report).
 
-The CSV readers accept a leading byte-order mark.  They split rows with
+Every input file, CSV, model file or ``case.txt``, is UTF-8 with or
+without a byte-order mark.  Undecodable bytes and csv syntax errors, such
+as a cell over csv's 131,072-character field limit, end in a one-line
+``CsvFormatError`` naming the file.  The CSV readers split rows with
 ``csv.reader``: comma-separated, cells optionally in double quotes (a
 quoted cell may span lines), LF, CRLF or CR line ends, blank lines
 skipped.  Each cell is parsed with Python's ``float``, so surrounding
@@ -25,22 +29,23 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .flowchain import ChainNode
-from .model import ProcessRun, ProductivityFunction, TimeSeries, parse_model
+from .model import ProcessRun, ProductivityFunction, TimeSeries, content_lines, parse_model
 from .report import CaseRecord
-from .spc import ProcessMetrics, classify_variability
+from .spc import METRIC_COLUMNS, ProcessMetrics, classify_variability
 
 
 _ROWS = 1024  # csv records converted, or rows written, per block
 
 
 class CsvFormatError(ValueError):
-    """Malformed tabular input; carries the path and 1-based row number."""
+    """A malformed or undecodable input file; carries the path and, for a table, the 1-based row number."""
 
     def __init__(self, message: str, path, row: int | None = None):
         self.path = str(path)
@@ -49,8 +54,24 @@ class CsvFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+@contextmanager
+def _open_input(path: str | Path):
+    """An input file as UTF-8 text, byte-order mark dropped and line ends kept for ``csv``.
+
+    Undecodable bytes and ``csv.Error`` raise a one-line ``CsvFormatError`` naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not UTF-8 text ({exc.reason})", path) from None
+    except csv.Error as exc:
+        raise CsvFormatError(str(exc), path) from None
+
+
 def load_model(path: str | Path) -> ProductivityFunction:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    with _open_input(path) as fh:
+        return parse_model(fh.read())
 
 
 def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> np.ndarray:
@@ -63,29 +84,26 @@ def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = F
     width = len(columns)
     blocks = []
     last = -math.inf if timestamps else None  # the previous row's timestamp
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise CsvFormatError("empty file", path)
-            if [h.strip() for h in header] != list(columns):
-                raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
-            record = 2  # csv record number of the block's first row; the header is 1
-            while block := list(islice(reader, _ROWS)):
-                kept = [i for i, row in enumerate(block) if len(row) > 1 or (row and row[0].strip())]
-                rows = block if len(kept) == len(block) else [block[i] for i in kept]
-                values, fault = _convert_block(rows, width, last)
-                if fault is not None:
-                    i, message = fault
-                    raise CsvFormatError(message, path, _line_of(path, record + kept[i]))
-                if len(values):
-                    blocks.append(values)
-                    if timestamps:
-                        last = values[-1, 0]
-                record += len(block)
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"not UTF-8 text ({exc.reason})", path) from None
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("empty file", path)
+        if [h.strip() for h in header] != list(columns):
+            raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
+        record = 2  # csv record number of the block's first row; the header is 1
+        while block := list(islice(reader, _ROWS)):
+            kept = [i for i, row in enumerate(block) if len(row) > 1 or (row and row[0].strip())]
+            rows = block if len(kept) == len(block) else [block[i] for i in kept]
+            values, fault = _convert_block(rows, width, last)
+            if fault is not None:
+                i, message = fault
+                raise CsvFormatError(message, path, _line_of(path, record + kept[i]))
+            if len(values):
+                blocks.append(values)
+                if timestamps:
+                    last = values[-1, 0]
+            record += len(block)
     return np.concatenate(blocks) if blocks else np.empty((0, width))
 
 
@@ -135,7 +153,7 @@ def _numeric(row: list[str]) -> bool:
 def _line_of(path: str | Path, record: int) -> int:
     """The file line on which csv record ``record`` (the header is 1) starts."""
     line = 1
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         for _ in islice(reader, record - 1):
             line = reader.line_num + 1
@@ -180,19 +198,18 @@ def read_chain_csv(path: str | Path) -> list[ChainNode]:
 
 
 def read_metrics_csv(path: str | Path) -> ProcessMetrics:
-    table = _read_table(path, ("cpk", "pp", "sigma_d", "rate_d", "cv"))
+    table = _read_table(path, METRIC_COLUMNS)
     if len(table) != 1:
         raise CsvFormatError("metrics file must have exactly one data row", path)
-    cpk, pp, sigma_d, rate_d, cv = table[0].tolist()
-    return ProcessMetrics(cpk, pp, sigma_d, rate_d, cv, classify_variability(cv))
+    values = table[0].tolist()
+    return ProcessMetrics(*values, classify_variability(values[-1]))  # cv is the last column
 
 
 def _parse_keyvalues(path: Path) -> dict[str, str]:
+    with _open_input(path) as fh:
+        text = fh.read()
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise ValueError(f"{path}, line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)

@@ -10,6 +10,7 @@ observed in practice for project-driven processes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,14 @@ def resample(ts: TimeSeries, grid: np.ndarray) -> np.ndarray:
     return np.interp(grid, ts.t, ts.values)
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line that is not blank once its '#' comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_model(text: str) -> ProductivityFunction:
     """Parse model text into a ProductivityFunction.
 
@@ -149,10 +158,7 @@ def parse_model(text: str) -> ProductivityFunction:
     """
     impulse: float | None = None
     modes: list[ExponentialMode] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "impulse":
             if len(parts) != 2:

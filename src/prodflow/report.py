@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .model import ProductivityFunction, is_stable
-from .spc import ProcessMetrics
+from .spc import METRIC_COLUMNS, ProcessMetrics
 from .transient import SettlingConfig, classify_steadiness, percentile_reaction_time, settling_time
 
-REPORT_COLUMNS = ("name", "ts", "tt", "reaction_pct", "cpk", "pp", "sigma_d", "rate_d", "cv", "steadiness")
+REPORT_COLUMNS = ("name", "ts", "tt", "reaction_pct", *METRIC_COLUMNS, "steadiness")
 
 
 @dataclass(frozen=True)
@@ -71,37 +71,16 @@ def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConf
             ts = frac = math.nan
             steadiness = "steady" if stable else "unsteady"
             note = f"{note}; settling failed: {exc}" if note else f"settling failed: {exc}"
-        m = case.metrics
-        rows.append(
-            ReportRow(
-                name=case.name,
-                settling_time=ts,
-                total_time=case.total_time,
-                reaction_fraction=frac,
-                cpk=m.cpk if m else None,
-                pp=m.pp if m else None,
-                sigma_d=m.sigma_d if m else None,
-                rate_d=m.rate_d if m else None,
-                cv=m.cv if m else None,
-                steadiness=steadiness,
-                note=note,
-            )
-        )
+        metrics = {key: getattr(case.metrics, key) if case.metrics else None for key in METRIC_COLUMNS}
+        rows.append(ReportRow(case.name, ts, case.total_time, frac, **metrics, steadiness=steadiness, note=note))
     rows.sort(key=lambda r: (math.isnan(r.reaction_fraction), r.reaction_fraction, r.name))
     return rows
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a))
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rank(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -133,17 +112,6 @@ def write_report_csv(rows: Sequence[ReportRow], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.name,
-                    _fmt(r.settling_time),
-                    _fmt(r.total_time),
-                    _fmt(100.0 * r.reaction_fraction, "%.2f"),
-                    _fmt(r.cpk),
-                    _fmt(r.pp),
-                    _fmt(r.sigma_d),
-                    _fmt(r.rate_d),
-                    _fmt(r.cv),
-                    r.steadiness,
-                ]
-            )
+            percent = _fmt(100.0 * r.reaction_fraction, "%.2f")
+            metrics = [_fmt(getattr(r, key)) for key in METRIC_COLUMNS]
+            writer.writerow([r.name, _fmt(r.settling_time), _fmt(r.total_time), percent, *metrics, r.steadiness])

@@ -7,7 +7,7 @@ estimates use the sample standard deviation (n-1 denominator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class ProcessMetrics:
     rate_d: float
     cv: float
     variability_class: str
+
+
+# the five statistics, in the order of the metrics-file and report columns
+METRIC_COLUMNS = tuple(f.name for f in fields(ProcessMetrics)[:-1])
 
 
 def _mean_std(values) -> tuple[float, float]:

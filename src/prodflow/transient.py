@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ProductivityFunction, TimeSeries, resample, steady_state_gain, uniform_grid
 
-BAND_MODES = ("amplitude", "final")
+BAND_MODES = ("amplitude", "final")  # the first is the default
 
 
 class ChangeoverOverlapError(ValueError):
@@ -34,7 +34,7 @@ class SettlingConfig:
     """Band settings for settling-time measurement."""
 
     epsilon: float = 0.02
-    band_mode: str = "amplitude"
+    band_mode: str = BAND_MODES[0]
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -100,29 +100,21 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
 
 
 class TrapezoidConvolver:
-    """``trapezoid_convolve`` of one input with stacks of kernels, taking the input's FFT once.
-
-    The work buffers are made at the first call and again only when a larger stack arrives.
-    """
+    """``trapezoid_convolve`` of one input with stacks of kernels, taking the input's FFT once."""
 
     def __init__(self, u: np.ndarray, dt: float):
         self.u, self.dt, self.nfft = u, dt, 1 << max(2 * len(u) - 1, 2).bit_length()
         self.u_hat = np.fft.rfft(u, self.nfft)
-        self._spec, self._full = np.empty((0, self.nfft // 2 + 1), dtype=complex), np.empty((0, self.nfft))
 
-    def __call__(self, kernels: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Writes the responses of ``kernels`` (rows, n) into ``out``, which may be ``kernels``; returns ``out``."""
-        rows, n = kernels.shape
-        if rows > len(self._full):
-            self._spec = np.empty((rows, self.nfft // 2 + 1), dtype=complex)
-            self._full = np.empty((rows, self.nfft))
-        spec, full = self._spec[:rows], self._full[:rows]
-        np.fft.rfft(kernels, self.nfft, out=spec)
-        spec *= self.u_hat
-        np.fft.irfft(spec, self.nfft, out=full)
+    def __call__(self, kernels: np.ndarray) -> np.ndarray:
+        """The responses of a stack of ``kernels`` (rows, n), one row each."""
+        n = kernels.shape[1]
+        spec = np.fft.rfft(kernels, self.nfft)
+        spec *= self.u_hat  # in place: a call holds one spectrum at a time
+        full = np.fft.irfft(spec, self.nfft)
         # the columns of full past the result (nfft >= 2n) hold the products k[0] u[i]
         head_u = np.multiply(kernels[:, :1], self.u, out=full[:, n : 2 * n])
-        return trapezoid_ends(full[:, :n], head_u, kernels, self.u[0], self.dt, out)
+        return trapezoid_ends(full[:, :n], head_u, kernels, self.u[0], self.dt, np.empty(kernels.shape))
 
 
 def trapezoid_ends(rect, head_u, kernels, u0, dt, out):
@@ -148,7 +140,7 @@ def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarr
     ``TrapezoidConvolver``.  Trapezoidal weights, FFT-based so long records
     stay fast: the rectangle-rule convolution minus half of the two endpoint products, times dt.
     """
-    return TrapezoidConvolver(u, dt)(kernel[None], np.empty((1, len(kernel))))[0]
+    return TrapezoidConvolver(u, dt)(kernel[None])[0]
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:
@@ -188,7 +180,7 @@ def settling_time(pf: ProductivityFunction, cfg: SettlingConfig = SettlingConfig
     ss = steady_state_gain(pf)
     if not pf.modes:
         result = SettlingResult(0.0, ss, ss, ss)
-    elif cfg.band_mode == "amplitude":
+    elif cfg.band_mode == BAND_MODES[0]:
         slowest = min(pf.modes, key=lambda m: abs(m.decay_rate))
         ts = math.log(1.0 / cfg.epsilon) / abs(slowest.decay_rate)
         if ss is None:

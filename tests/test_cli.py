@@ -123,6 +123,20 @@ class TestSettle:
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
         assert "file" in capsys.readouterr().err.lower()
 
+    def test_byte_order_mark_model_loads(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_bytes("\ufeffimpulse 1.5\nexp 1 0.5\n".encode("utf-8"))
+        assert run_cli("settle", "--model", str(model)) == 0
+        assert "steady_state: 3.5" in capsys.readouterr().out
+
+    def test_undecodable_model_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_bytes("# café\nexp 1 0.5\n".encode("latin-1"))
+        assert run_cli("settle", "--model", str(model)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: not UTF-8 text (invalid continuation byte)\n"
+
 
 class TestMetrics:
     def test_with_limits(self, tmp_path, capsys):
@@ -205,6 +219,14 @@ class TestFit:
         assert all(math.isfinite(v) for v in summary.values())
         assert math.isfinite(fitted.impulse_gain) and all(math.isfinite(m.gain) for m in fitted.modes)
 
+    def test_cell_over_the_csv_field_limit_is_user_error(self, tmp_path, capsys):
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0,1,0.5\n1,1," + "1" * 200_000 + "\n2,1,0.9\n")
+        assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / "fit.txt")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fit.txt").exists()
+        assert captured.err == f"error: {run_csv}: field larger than field limit (131072)\n"
+
     def test_gains_past_the_float_range_are_user_error(self, tmp_path, capsys):
         # y / u is about 1e310: every gain that fits overflows
         run_csv = tmp_path / "run.csv"
@@ -249,6 +271,20 @@ class TestReport:
         assert len(out.read_text().splitlines()) == 1 + 6
         assert plot.read_text().count("<polyline") == 6
         assert "spearman" not in capsys.readouterr().out
+
+    def test_shipped_final_band_report(self, cases_dir, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli("report", "--cases", str(cases_dir), "--band", "final", "--out", str(out)) == 0
+        assert out.read_bytes() == (cases_dir.parent / "out" / "flow_table_final.csv").read_bytes()
+
+    def test_byte_order_mark_case_file_loads(self, tmp_path, capsys):
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1 0.5\n")
+        (case / "case.txt").write_bytes("\ufeffname = Case B\ntt = 10\nmodel = model.txt\n".encode("utf-8"))
+        out = tmp_path / "r.csv"
+        assert run_cli("report", "--cases", str(tmp_path / "cases"), "--out", str(out)) == 0
+        assert out.read_text().splitlines()[1].startswith("Case B,7.82")
 
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1

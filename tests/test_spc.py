@@ -10,6 +10,7 @@ from prodflow import (
     process_performance,
     sample_metrics,
 )
+from prodflow.spc import METRIC_COLUMNS
 
 
 class TestCpk:
@@ -83,6 +84,10 @@ class TestClassify:
 
 
 class TestSampleMetrics:
+    def test_metric_columns_are_the_five_statistics_in_file_order(self):
+        # the metrics-file header, the report columns and the metrics printout all follow this order
+        assert METRIC_COLUMNS == ("cpk", "pp", "sigma_d", "rate_d", "cv")
+
     def test_constant_sample_rejected(self):
         with pytest.raises(ValueError):
             sample_metrics([4.0, 4.0, 4.0])

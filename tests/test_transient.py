@@ -125,7 +125,7 @@ class TestTrapezoidConvolve:
     def test_matches_direct_sum_and_stacks_row_by_row(self, n):
         rng = np.random.default_rng(n)
         u, kernels, dt = rng.normal(size=n), rng.normal(size=(3, n)), 0.1
-        stacked = TrapezoidConvolver(u, dt)(kernels, np.empty((3, n)))
+        stacked = TrapezoidConvolver(u, dt)(kernels)
         for kernel, row in zip(kernels, stacked):
             # the trapezoid rule term by term, as the reference
             direct = [dt * (np.dot(kernel[: k + 1], u[k::-1]) - 0.5 * (kernel[0] * u[k] + kernel[k] * u[0]))
@@ -133,14 +133,14 @@ class TestTrapezoidConvolve:
             np.testing.assert_allclose(trapezoid_convolve(kernel, u, dt), direct, rtol=0, atol=1e-12 * n)
             assert np.array_equal(row, trapezoid_convolve(kernel, u, dt))
 
-    def test_convolver_reuses_its_buffers_without_carry_over(self):
+    def test_successive_stacks_of_different_heights_match_one_kernel_calls(self):
         rng = np.random.default_rng(5)
         u, dt = rng.normal(size=50), 0.2
         conv = TrapezoidConvolver(u, dt)
-        # the buffers are made at 2 rows, grow at 3 and serve the smaller stack after it
+        # one convolver serves stacks that shrink and grow, with nothing carried from one to the next
         for rows in (2, 1, 3, 2):
             kernels = rng.normal(size=(rows, 50))
-            got = conv(kernels, np.empty((rows, 50)))
+            got = conv(kernels)
             assert all(np.array_equal(row, trapezoid_convolve(kernel, u, dt)) for row, kernel in zip(got, kernels))
 
 
