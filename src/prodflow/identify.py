@@ -19,12 +19,13 @@ Two estimators:
   projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
   refined residual wins, the pair start on a tie.  Between orders the
   lowest residual wins, and ties go to the smaller model.  The search
-  never holds the candidates' responses: one streamed pass over the record
-  in time blocks of L samples gives their norms and, for the pair scan,
-  their Gram matrix, and each order correlates its own columns with the
-  input.  For R candidates and n samples the pair scan's Gram matrix costs
-  O(R^2 n) time once per fit, each order O(R n k), and search memory is
-  O(R L + R^2) whatever n.  The fit runs on copies of the input and output
+  never holds the candidates' responses: a pass over the record in blocks
+  of L = 16 samples, one exact Toeplitz product per block, gives their
+  norms, for the pair scan their Gram matrix, and their products with the
+  order 0 fit's projection; each later order takes one more pass for the
+  previous fit's.  For R candidates and n samples a pass costs O(R L n)
+  time, the Gram matrix O(R^2 n) once per fit, and search memory is
+  O(R L^2 + R^2) whatever n.  The fit runs on copies of the input and output
   scaled by powers of two, which is exact, so that growing-mode responses
   to values near the overflow limit stay finite.  The whole procedure is
   deterministic at a fixed BLAS thread count: same run, config and thread
@@ -56,10 +57,10 @@ _SINGULAR_DET = 1e-10
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
-# samples per time block of the streamed candidate statistics
-_BLOCK = 256
-# FFT elements per rate chunk of a time block: a chunk's buffers stay in cache
-_CHUNK_ELEMENTS = 1 << 17
+# samples per block of the candidate pass: one L x L Toeplitz product per rate
+_BLOCK = 16
+# samples per group of the candidate pass: all rates' blocks in one matrix product
+_GROUP = 256
 
 
 @dataclass(frozen=True)
@@ -157,110 +158,97 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
 class ModeBasis:
     """Trapezoid-rule responses of exponential kernels to one recorded input.
 
-    Holds the record's lag times ``tau``, input ``u`` and step ``dt``, and the
-    ``TrapezoidConvolver`` that every ``convolve`` call reuses.
+    Holds the record's lag times ``tau``, input ``u`` and step ``dt``, which
+    ``Candidates`` reads, and the ``TrapezoidConvolver`` that every
+    ``convolve`` call reuses.
     """
 
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
         self.tau, self.u, self.dt = tau, u, dt
         self._conv = TrapezoidConvolver(u, dt)
-        # where the input's first nonzero sample is, and the conjugate spectrum from there on
-        self._lead = int(np.argmax(u != 0.0))
-        self._corr_hat = np.fft.rfft(u[self._lead :], self._conv.nfft).conj()
 
     def convolve(self, kernels: np.ndarray) -> np.ndarray:
         """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
         return self._conv(kernels)
-
-    def correlate(self, v: np.ndarray) -> np.ndarray:
-        """Cross-correlation C[m] = sum_p u[p] v[p + m], m < n, of ``u`` with one series on ``tau``.
-
-        The input's leading zeros are left out of the FFT, so C is exactly 0 past the
-        lags they cover instead of rounding noise, which growing kernels would amplify.
-        """
-        n, lead, nfft = len(v), self._lead, self._conv.nfft
-        C = np.zeros(n)
-        C[: n - lead] = np.fft.irfft(np.fft.rfft(v[lead:], nfft) * self._corr_hat, nfft)[: n - lead]
-        return C
 
 
 class Candidates:
     """What the search reads of the candidates' unit-norm responses S, without holding S.
 
     Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
-    One pass over the record in time blocks of L = ``_BLOCK`` samples gives the responses' ``norms``
-    and, with ``gram``, the Gram matrix ``gram`` = S S' (else None); ``dot`` gives S V for any columns V.
-    In a block starting at lo each response is the in-block convolution of the input with the kernel
-    heads a^j = exp(-rate * tau[j]), j < L, plus the rectangle sum z carried over from the blocks before,
-    z[lo + j] += a^(j+1) z[lo - 1] (Stockham 1966).  Decaying kernels convolve by FFT in rate chunks
-    that stay in cache.  Growing kernels would leave FFT rounding of the order of a^L on responses that
-    start far smaller, and the carry would spread it over the record, so they sum in order instead.
-    ``rates`` lists the growing (negative) rates first, as a sorted grid does.  Rates without a
-    response are dropped.  Memory is O(R L + R^2) for R rates, whatever the record length.
+    One pass over the record gives the responses' ``norms``, with ``gram`` the Gram matrix ``gram``
+    = S S' (else None), and the ``products`` S V for the columns V given (else for none); ``dot``
+    gives S V for further columns in one more pass.  A pass walks the record in blocks of
+    L = ``_BLOCK`` samples.  In a block starting at lo, each response's rectangle sums are the
+    product of its L x L lower-triangular Toeplitz matrix of kernel heads a^(j - q) =
+    exp(-rate * tau[j - q]) with the block's input, plus the sum z carried over from the blocks
+    before, z[lo + j] += a^(j+1) z[lo - 1] (Stockham 1966); every rate's blocks of ``_GROUP``
+    samples go through one matrix product.  Each sum is formed from its own terms, so a response
+    far below the kernel's head, growing or decaying, keeps its relative accuracy.  A pass costs
+    O(R L n) time for R rates and n samples, plus O(R^2 n) for the Gram matrix; memory is
+    O(R _GROUP + R^2) whatever n.  Rates without a response are dropped.
     """
 
-    def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False):
-        u, n = basis.u, len(basis.u)
-        L, grow = min(_BLOCK, n), int(np.count_nonzero(rates < 0.0))
-        # heads[:, j] = a^j for j <= L; the spectrum holds j < L of the decaying kernels
-        heads = np.exp(np.multiply.outer(-rates, basis.tau[: L + 1]))
-        spec = np.fft.rfft(heads[grow:, :L], 2 * L)
-        chunk = max(1, _CHUNK_ELEMENTS // (2 * L))
-        prod = np.empty((min(chunk, len(rates)), L + 1), dtype=complex)
-        full = np.empty((len(prod), 2 * L))
-        block, carry, sq, G = np.empty((len(rates), L)), np.empty(len(rates)), np.zeros(len(rates)), None
-        for lo in range(0, n, L):
-            b, u_hat = min(L, n - lo), np.fft.rfft(u[lo : lo + L], 2 * L)
-            scale = np.exp(-rates * basis.tau[lo])
-            for c in [*range(0, grow, chunk), *range(grow, len(rates), chunk)]:
-                rows = slice(c, min(c + chunk, grow if c < grow else len(rates)))
-                r, h = rows.stop - c, heads[rows, : b + 1]
-                z, s = full[:r, :b], block[rows, :b]
-                if c < grow:
-                    # a^j sum_{q <= j} a^-q u[lo + q], summed in order
-                    np.cumsum(np.divide(u[lo : lo + b], h[:, :b], out=z), axis=1, out=z)
-                    z *= h[:, :b]
-                else:
-                    np.fft.irfft(np.multiply(spec[c - grow : c - grow + r], u_hat, out=prod[:r]), 2 * L, out=full[:r])
-                if lo:
-                    z += np.multiply(h[:, 1:], carry[rows, None], out=s)
-                carry[rows] = z[:, -1]
-                # the kernel a^(lo + j) at the block's samples is scale * heads[:, j]
-                trapezoid_ends(z, u[lo : lo + b], h[:, :b], scale[rows, None] * u[0], basis.dt, s)
-            s = block[:, :b]
-            sq += np.einsum("ij,ij->i", s, s)
-            if gram:
-                G = s @ s.T if G is None else np.add(G, s @ s.T, out=G)
+    def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False, V: np.ndarray | None = None):
+        V = np.empty((len(basis.u), 0)) if V is None else V
+        sq, G, SV = _block_pass(basis, rates, V, gram)
         norms = np.sqrt(sq)
         keep = norms > 0
         if not keep.all():
-            rates, norms, heads = rates[keep], norms[keep], heads[keep]
+            rates, norms, SV = rates[keep], norms[keep], SV[keep]
             G = None if G is None else G[np.ix_(keep, keep)]
         if G is not None:
             G /= norms[:, None]
             G /= norms
-        self.basis, self.L, self.rates, self.norms, self.heads, self.gram = basis, L, rates, norms, heads, G
+        SV /= norms[:, None]
+        self.basis, self.rates, self.norms, self.gram, self.products = basis, rates, norms, G, SV
 
     def dot(self, V: np.ndarray) -> np.ndarray:
-        """S V for the columns of V (n, k), in the correlation form.
+        """S V for the columns of V (n, k), in one more pass."""
+        SV = _block_pass(self.basis, self.rates, V, False)[2]
+        SV /= self.norms[:, None]
+        return SV
 
-        With C[m] = sum_p u[p] v[p + m], the cross-correlation of the input and a column v (one
-        FFT per column on the input spectrum the basis holds), row i's product is the trapezoid
-        rule applied to sums over the kernel: dt (sum_m a^m C[m] - (u.v + u0 sum_m a^m v[m]) / 2),
-        over the norm.  The sums over m run block by block on the kernel heads.
-        """
-        basis, L, k = self.basis, self.L, V.shape[1]
-        u, n = basis.u, len(basis.u)
-        W = np.empty((n, 2 * k))
-        for j in range(k):
-            W[:, j] = basis.correlate(V[:, j])
-        W[:, k:] = V
-        sums = np.zeros((len(self.rates), 2 * k))
-        for lo in range(0, n, L):
-            sums += np.exp(-self.rates * basis.tau[lo])[:, None] * (self.heads[:, : min(L, n - lo)] @ W[lo : lo + L])
-        out = trapezoid_ends(sums[:, :k], u @ V, sums[:, k:], u[0], basis.dt, np.empty((len(self.rates), k)))
-        out /= self.norms[:, None]
-        return out
+
+def _block_pass(basis: ModeBasis, rates: np.ndarray, V: np.ndarray, gram: bool):
+    """(squared norms, S S' or None, S V) of the candidates' responses S before normalising.
+
+    A group of nb blocks is held as [rate, j, m] for the sample lo + m L + j, the layout the one
+    matrix product gives; the sums over its samples run in that order.
+    """
+    u, tau, n, R, k = basis.u, basis.tau, len(basis.u), len(rates), V.shape[1]
+    L = min(_BLOCK, n)
+    # heads[:, j] = a^j for j <= L; toep[i * L + j, q] = a_i^(j - q) for q <= j, else 0
+    heads = np.exp(np.multiply.outer(-rates, tau[: L + 1]))
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    toep = np.where(lag >= 0, heads[:, np.maximum(lag, 0)], 0.0).reshape(R * L, L)
+    sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R)) if gram else None
+    # a group's input and columns, zero past the record's end, its sums and its responses
+    ub, vb, zb, sb = np.zeros(_GROUP), np.zeros((_GROUP, k)), np.empty(R * _GROUP), np.empty(R * _GROUP)
+    carry = np.zeros(R)
+    for lo in range(0, n, _GROUP):
+        b = min(_GROUP, n - lo)
+        nb = -(-b // L)
+        ub[:b], ub[b:], vb[:b], vb[b:] = u[lo : lo + b], 0.0, V[lo : lo + b], 0.0
+        blocks = ub[: nb * L].reshape(nb, L).T
+        z = np.matmul(toep, blocks, out=zb[: R * L * nb].reshape(R * L, nb)).reshape(R, L, nb)
+        if n > L:
+            # the sum carried into each block, z[lo + m L - 1], by the recursion over block ends
+            into = np.empty((R, nb))
+            for m in range(nb):
+                into[:, m] = carry
+                carry = z[:, -1, m] + heads[:, L] * carry
+            z += heads[:, 1:, None] * into[:, None, :]
+        # the kernel at lo + m L + j is a^j times a^(lo + m L)
+        ends = np.exp(np.multiply.outer(-rates, tau[lo : lo + b : L]))[:, None, :] * u[0]
+        s = trapezoid_ends(z, blocks, heads[:, :L, None], ends, basis.dt, sb[: R * L * nb].reshape(R, L, nb))
+        s[:, b - (nb - 1) * L :, -1] = 0.0  # the padding past the record's end
+        s = s.reshape(R, L * nb)
+        sq += np.einsum("ij,ij->i", s, s)
+        SV += s @ vb[: nb * L].reshape(nb, L, k).transpose(1, 0, 2).reshape(L * nb, k)
+        if gram:
+            G += s @ s.T
+    return sq, G, SV
 
 
 @dataclass(frozen=True)
@@ -332,10 +320,10 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
     magnitude and the growth cutoff for growing modes; a trial that makes
     the rate set singular fails like any other.  At most
     ``cfg.refine_iterations`` trial steps.  Returns None only when
-    ``rates0`` itself is singular.
+    ``rates0`` itself is singular, by the same determinant test.
     """
     rates0 = np.asarray(rates0, dtype=float)
-    cur = project(basis, y, rates0, cfg.allow_impulse)
+    cur = project(basis, y, rates0, cfg.allow_impulse, _SINGULAR_DET)
     if cur is None or not len(rates0):
         return cur
     signs, logs = np.sign(rates0), np.log(np.abs(rates0))
@@ -431,16 +419,17 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     # their largest: exact, and growing-mode responses cannot overflow
     eu, ey = math.frexp(float(np.abs(u).max()))[1], math.frexp(float(np.abs(y).max()))[1]
     basis, ys = ModeBasis(tau, np.ldexp(u, -eu), dt), np.ldexp(y, -ey)
-    cands = Candidates(basis, rates, gram=cfg.max_modes >= 2)
 
-    # fits[k] is the refined fit of order k, None when it has no start
+    # fits[k] is the refined fit of order k, None when it has no start, and
+    # SV[k] the candidates' products S [q, r] with it, one pass each
     fits = [project(basis, ys, np.empty(0), cfg.allow_impulse)]
+    cands = Candidates(basis, rates, cfg.max_modes >= 2, np.column_stack([fits[0].q, fits[0].r]))
+    SV = [cands.products]
     for k in range(1, cfg.max_modes + 1):
         starts = []
-        for prev, m in ((fits[k - 2] if k >= 2 else None, 2), (fits[k - 1], 1)):
-            if prev is not None:
-                SV = cands.dot(np.column_stack([prev.q, prev.r]))
-                seed = extend_rate_set(cands.rates, SV, cands.gram, prev, m)
+        for j, m in ((k - 2, 2), (k - 1, 1)):
+            if j >= 0 and fits[j] is not None:
+                seed = extend_rate_set(cands.rates, SV[j], cands.gram, fits[j], m)
                 if seed is not None and not any(np.array_equal(seed, s) for s in starts):
                     starts.append(seed)
         fit = None
@@ -449,6 +438,8 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
             if trial is not None and (fit is None or trial.residual < fit.residual):
                 fit = trial
         fits.append(fit)
+        if k < cfg.max_modes:
+            SV.append(None if fit is None else cands.dot(np.column_stack([fit.q, fit.r])))
     tie_tol = 1e-12 * math.ldexp(yy, -2 * ey)
     best = None
     for fit in fits[0 if cfg.allow_impulse else 1 :]:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .flowchain import ChainNode
-from .model import ProcessRun, ProductivityFunction, TimeSeries, content_lines, parse_model
+from .model import ModelFormatError, ProcessRun, ProductivityFunction, TimeSeries, content_lines, parse_model
 from .report import CaseRecord
 from .spc import METRIC_COLUMNS, ProcessMetrics, classify_variability
 
@@ -70,8 +70,14 @@ def _open_input(path: str | Path):
 
 
 def load_model(path: str | Path) -> ProductivityFunction:
+    """The model in a file; a ``ModelFormatError`` keeps its ``line`` and names the file."""
     with _open_input(path) as fh:
-        return parse_model(fh.read())
+        text = fh.read()
+    try:
+        return parse_model(text)
+    except ModelFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> np.ndarray:

@@ -123,7 +123,7 @@ def trapezoid_ends(rect, head_u, kernels, u0, dt, out):
     ``rect`` holds rectangle-rule sums sum_j k[j] u[i - j] at times i, ``head_u`` the products
     k[0] u[i], and ``kernels`` the kernel values k[i] at the same times; ``u0`` is the input at
     lag 0.  ``out`` may be ``kernels``.  Every trapezoid convolution (``TrapezoidConvolver``, and
-    the streamed candidate statistics in ``identify``) weights its ends here.
+    the block pass of ``identify.Candidates``) weights its ends here.
     """
     np.multiply(kernels, u0, out=out)
     out += head_u

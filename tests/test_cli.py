@@ -137,6 +137,12 @@ class TestSettle:
         assert captured.out == ""
         assert captured.err == f"error: {model}: not UTF-8 text (invalid continuation byte)\n"
 
+    def test_model_syntax_error_names_the_file(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("impulse 1\nexp 1\n")
+        assert run_cli("settle", "--model", str(model)) == 1
+        assert capsys.readouterr().err == f"error: {model}: line 2: exp takes a gain and a decay rate\n"
+
 
 class TestMetrics:
     def test_with_limits(self, tmp_path, capsys):
@@ -285,6 +291,16 @@ class TestReport:
         out = tmp_path / "r.csv"
         assert run_cli("report", "--cases", str(tmp_path / "cases"), "--out", str(out)) == 0
         assert out.read_text().splitlines()[1].startswith("Case B,7.82")
+
+    def test_model_syntax_error_names_the_file(self, tmp_path, capsys):
+        cases = tmp_path / "cases"
+        for name, model in (("c1", "exp 1 0.5\n"), ("c2", "exp 1\n")):
+            (cases / name).mkdir(parents=True)
+            (cases / name / "model.txt").write_text(model)
+            (cases / name / "case.txt").write_text(f"name = {name}\ntt = 10\nmodel = model.txt\n")
+        assert run_cli("report", "--cases", str(cases), "--out", str(tmp_path / "r.csv")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cases / 'c2' / 'model.txt'}: line 1: exp takes a gain and a decay rate\n"
 
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1

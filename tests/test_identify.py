@@ -318,8 +318,8 @@ def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
 
 
 class TestModeBasis:
-    # 20 growing rates up to rate * span = 49, and 280 decaying ones in two rate chunks;
-    # n = 700 takes three time blocks of 256, the last one partial
+    # 20 growing rates up to rate * span = 49, and 280 decaying ones; n = 700 takes three
+    # groups of 256 samples, the last one ending in a partial block of 12
     RATES = np.concatenate([-np.geomspace(0.1, 1.4, 20), np.geomspace(1e-3, 1e3, 280)])
 
     def basis(self):
@@ -359,6 +359,31 @@ class TestModeBasis:
         V = np.random.default_rng(5).standard_normal((400, 2))
         expected = S / np.linalg.norm(S, axis=1)[:, None] @ V
         assert np.abs(cands.dot(V) - expected).max() < 1e-12
+
+    def test_fast_decaying_candidates_match_a_long_double_reference(self):
+        # a lone input sample: the rate 464 response at sample 1 is e^-40 of its kernel's head,
+        # far below FFT rounding of that head
+        dt = 0.0867
+        tau = dt * np.arange(76)
+        u = np.where(tau == 0.0, 1.0, 0.0)
+        rates = rate_grid(FitConfig(points_per_decade=6))[-9:]  # 46.4 to 1000, with 146.8 and 464.2
+        # reference: the rectangle sums by recursion in long double, and the trapezoid ends
+        ld = np.longdouble
+        S = np.empty((len(rates), len(u)), dtype=ld)
+        for row, rate in zip(S, rates):
+            a, z = np.exp(-ld(rate) * ld(dt)), ld(0.0)
+            for i, x in enumerate(u):
+                z = a * z + ld(x)
+                row[i] = ld(dt) * (z - ld(0.5) * (ld(x) + np.exp(-ld(rate) * ld(tau[i])) * ld(u[0])))
+        norms = np.sqrt((S * S).sum(axis=1))
+        S /= norms[:, None]
+        V = np.random.default_rng(6).standard_normal((len(u), 2))
+        basis = ModeBasis(tau, u, dt)
+        cands = Candidates(basis, rates, gram=True)
+        assert cands.norms == pytest.approx(norms.astype(float), rel=1e-12, abs=0.0)
+        assert np.abs(cands.gram - (S @ S.T).astype(float)).max() < 1e-12
+        assert np.abs(cands.dot(V) - (S @ V).astype(float)).max() < 1e-12
+        assert np.abs(Candidates(basis, rates, V=V).products - (S @ V).astype(float)).max() < 1e-12
 
     def test_rates_without_a_response_are_dropped(self):
         t = np.linspace(0.0, 1.0, 10)
@@ -502,6 +527,10 @@ class TestRefine:
         # the candidate equal to the previous rate is singular and skipped
         ref = min((project(basis, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
         assert list(extend_rate_set(cands, *search_stats(S, prev), prev)) == sorted([0.35, ref[1]])
+
+    def test_singular_start_is_none(self):
+        basis, y = self.record()
+        assert refine(basis, y, [0.3, 0.3]) is None
 
     def test_growing_mode_stays_within_the_cutoff(self):
         basis, y = self.record(dt=0.1, n=200)
