@@ -362,7 +362,7 @@ class TestModeBasis:
 
     def test_fast_decaying_candidates_match_a_long_double_reference(self):
         # a lone input sample: the rate 464 response at sample 1 is e^-40 of its kernel's head,
-        # far below FFT rounding of that head
+        # far below the rounding that an FFT of the heads would leave
         dt = 0.0867
         tau = dt * np.arange(76)
         u = np.where(tau == 0.0, 1.0, 0.0)
