@@ -18,14 +18,16 @@ Two estimators:
   Levenberg-Marquardt over log|rate| with every sign fixed, the gains
   projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
   refined residual wins, the pair start on a tie.  Between orders the
-  lowest residual wins, and ties go to the smaller model.  The search
-  never holds the candidates' responses: a pass over the record in blocks
-  of L = 16 samples, one exact Toeplitz product per block, gives their
-  norms, for the pair scan their Gram matrix, and their products with the
-  order 0 fit's projection; each later order takes one more pass for the
-  previous fit's.  For R candidates and n samples a pass costs O(R L n)
-  time, the Gram matrix O(R^2 n) once per fit, and search memory is
-  O(R L^2 + R^2) whatever n.  The fit runs on copies of the input and output
+  lowest residual wins, and ties go to the smaller model.  All responses
+  are the exact block sums of ``transient.response_groups``, and the fit's
+  residual is the refined projection's.  The search never holds them: a
+  pass gives the candidates' norms, for the pair scan their Gram matrix,
+  and their products with the order 0 fit's projection; each later order
+  takes one more pass for the previous fit's.  Refinement takes each rate
+  set's modes and log-rate derivatives from ``trapezoid_convolve``.  For R
+  candidates, n samples and blocks of L = 16 a pass costs O(R L n) time,
+  the Gram matrix O(R^2 n) once per fit, and search memory is O(R L^2 + R^2)
+  whatever n.  The fit runs on copies of the input and output
   scaled by powers of two, which is exact, so that growing-mode responses
   to values near the overflow limit stay finite.  The whole procedure is
   deterministic at a fixed BLAS thread count: same run, config and thread
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
-from .transient import TrapezoidConvolver, trapezoid_convolve, trapezoid_ends
+from .transient import response_groups, trapezoid_convolve
 
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
@@ -57,10 +59,6 @@ _SINGULAR_DET = 1e-10
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
-# samples per block of the candidate pass: one L x L Toeplitz product per rate
-_BLOCK = 16
-# samples per group of the candidate pass: all rates' blocks in one matrix product
-_GROUP = 256
 
 
 @dataclass(frozen=True)
@@ -111,12 +109,14 @@ def goodness_of_fit(predicted: TimeSeries, observed: TimeSeries) -> float:
     """NRMSE of a prediction against an observation on the same grid."""
     if len(predicted) != len(observed) or not np.array_equal(predicted.t, observed.t):
         raise ValueError("predicted and observed series must share the same time grid")
-    return _nrmse(observed.values, predicted.values, float(observed.values @ observed.values))
+    y = observed.values
+    return _nrmse(y, y - predicted.values, float(y @ y))
 
 
-def _nrmse(y: np.ndarray, yhat: np.ndarray, yy: float) -> float:
+def _nrmse(y: np.ndarray, r: np.ndarray, yy: float) -> float:
+    """NRMSE of y against its residual r."""
     den = float(np.linalg.norm(y - y.mean()))
-    num = float(np.linalg.norm(y - yhat))
+    num = float(np.linalg.norm(r))
     # residuals at rounding-noise level count as exact; otherwise a perfect
     # feedthrough fit of a constant signal would score num/den on pure dust
     if num <= 1e-12 * max(math.sqrt(yy), den):
@@ -152,24 +152,14 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
     if uu == 0.0:
         raise ValueError("input is identically zero; alpha undefined")
     alpha = float(u @ y) / uu
-    return FdpFit(alpha, _nrmse(y, alpha * u, yy))
+    return FdpFit(alpha, _nrmse(y, y - alpha * u, yy))
 
 
 class ModeBasis:
-    """Trapezoid-rule responses of exponential kernels to one recorded input.
-
-    Holds the record's lag times ``tau``, input ``u`` and step ``dt``, which
-    ``Candidates`` reads, and the ``TrapezoidConvolver`` that every
-    ``convolve`` call reuses.
-    """
+    """A recorded input ``u`` with step ``dt`` and its lag times ``tau``, whose modes a fit convolves."""
 
     def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
         self.tau, self.u, self.dt = tau, u, dt
-        self._conv = TrapezoidConvolver(u, dt)
-
-    def convolve(self, kernels: np.ndarray) -> np.ndarray:
-        """Responses to ``u`` of a stack of kernels sampled on ``tau``."""
-        return self._conv(kernels)
 
 
 class Candidates:
@@ -178,15 +168,10 @@ class Candidates:
     Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
     One pass over the record gives the responses' ``norms``, with ``gram`` the Gram matrix ``gram``
     = S S' (else None), and the ``products`` S V for the columns V given (else for none); ``dot``
-    gives S V for further columns in one more pass.  A pass walks the record in blocks of
-    L = ``_BLOCK`` samples.  In a block starting at lo, each response's rectangle sums are the
-    product of its L x L lower-triangular Toeplitz matrix of kernel heads a^(j - q) =
-    exp(-rate * tau[j - q]) with the block's input, plus the sum z carried over from the blocks
-    before, z[lo + j] += a^(j+1) z[lo - 1] (Stockham 1966); every rate's blocks of ``_GROUP``
-    samples go through one matrix product.  Each sum is formed from its own terms, so a response
-    far below the kernel's head, growing or decaying, keeps its relative accuracy.  A pass costs
-    O(R L n) time for R rates and n samples, plus O(R^2 n) for the Gram matrix; memory is
-    O(R _GROUP + R^2) whatever n.  Rates without a response are dropped.
+    gives S V for further columns in one more pass.  A pass reduces the exact responses of
+    ``transient.response_groups`` one group of samples at a time, so it costs O(R L n) time for R
+    rates and n samples, plus O(R^2 n) for the Gram matrix, and O(R L^2 + R^2) memory whatever n.
+    Rates without a response are dropped.
     """
 
     def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False, V: np.ndarray | None = None):
@@ -213,41 +198,20 @@ class Candidates:
 def _block_pass(basis: ModeBasis, rates: np.ndarray, V: np.ndarray, gram: bool):
     """(squared norms, S S' or None, S V) of the candidates' responses S before normalising.
 
-    A group of nb blocks is held as [rate, j, m] for the sample lo + m L + j, the layout the one
-    matrix product gives; the sums over its samples run in that order.
+    Each group's responses stay in ``response_groups``' [rate, j, m] layout, for the sample
+    lo + m L + j; the sums over its samples run in that order.
     """
-    u, tau, n, R, k = basis.u, basis.tau, len(basis.u), len(rates), V.shape[1]
-    L = min(_BLOCK, n)
-    # heads[:, j] = a^j for j <= L; toep[i * L + j, q] = a_i^(j - q) for q <= j, else 0
-    heads = np.exp(np.multiply.outer(-rates, tau[: L + 1]))
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    toep = np.where(lag >= 0, heads[:, np.maximum(lag, 0)], 0.0).reshape(R * L, L)
+    R, k = len(rates), V.shape[1]
     sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R)) if gram else None
-    # a group's input and columns, zero past the record's end, its sums and its responses
-    ub, vb, zb, sb = np.zeros(_GROUP), np.zeros((_GROUP, k)), np.empty(R * _GROUP), np.empty(R * _GROUP)
-    carry = np.zeros(R)
-    for lo in range(0, n, _GROUP):
-        b = min(_GROUP, n - lo)
-        nb = -(-b // L)
-        ub[:b], ub[b:], vb[:b], vb[b:] = u[lo : lo + b], 0.0, V[lo : lo + b], 0.0
-        blocks = ub[: nb * L].reshape(nb, L).T
-        z = np.matmul(toep, blocks, out=zb[: R * L * nb].reshape(R * L, nb)).reshape(R, L, nb)
-        if n > L:
-            # the sum carried into each block, z[lo + m L - 1], by the recursion over block ends
-            into = np.empty((R, nb))
-            for m in range(nb):
-                into[:, m] = carry
-                carry = z[:, -1, m] + heads[:, L] * carry
-            z += heads[:, 1:, None] * into[:, None, :]
-        # the kernel at lo + m L + j is a^j times a^(lo + m L)
-        ends = np.exp(np.multiply.outer(-rates, tau[lo : lo + b : L]))[:, None, :] * u[0]
-        s = trapezoid_ends(z, blocks, heads[:, :L, None], ends, basis.dt, sb[: R * L * nb].reshape(R, L, nb))
-        s[:, b - (nb - 1) * L :, -1] = 0.0  # the padding past the record's end
-        s = s.reshape(R, L * nb)
-        sq += np.einsum("ij,ij->i", s, s)
-        SV += s @ vb[: nb * L].reshape(nb, L, k).transpose(1, 0, 2).reshape(L * nb, k)
+    for lo, b, S in response_groups(rates, basis.u, basis.dt):
+        L, nb = S.shape[1:]
+        vb = np.zeros((nb * L, k))  # the group's columns, zero past the record's end
+        vb[:b] = V[lo : lo + b]
+        S = S.reshape(R, L * nb)
+        sq += np.einsum("ij,ij->i", S, S)
+        SV += S @ vb.reshape(nb, L, k).transpose(1, 0, 2).reshape(L * nb, k)
         if gram:
-            G += s @ s.T
+            G += S @ S.T
     return sq, G, SV
 
 
@@ -277,14 +241,13 @@ def project(
     """Gains, residual and Jacobian of y for fixed rates.
 
     The mode columns and their derivatives with respect to log|rate| (the
-    convolution of -rate*tau*exp(-rate*tau) with u) come from one batched
-    FFT, the gains from a QR solve.  With ``min_det`` a set whose
+    convolution of -rate*tau*exp(-rate*tau) with u) come from one call of
+    ``trapezoid_convolve``, the gains from a QR solve.  With ``min_det`` a set whose
     normalised Gram determinant is at or below it counts as singular.
     None when the set is singular or anything is non-finite.
     """
     k = len(rates)
-    E = np.exp(-np.outer(rates, basis.tau))
-    cols = basis.convolve(np.vstack([E, -(rates[:, None] * basis.tau) * E]))
+    cols = trapezoid_convolve(rates, basis.u, basis.dt, derivatives=True)
     phi, deriv = cols[:k], cols[k:]
     A = np.vstack([basis.u, phi]).T if allow_impulse else phi.T
     Q, R = np.linalg.qr(A)
@@ -454,13 +417,5 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     except OverflowError:
         raise ValueError("fitted gains overflow; input and output scales are too far apart") from None
     modes = tuple(ExponentialMode(g, r) for r, g in sorted(zip(best.rates, gains)))
-    # one convolution per mode, scaled afterwards: a summed kernel would
-    # carry FFT rounding of its largest gain into every sample
-    predicted = impulse * u
-    for m in modes:
-        predicted = predicted + m.gain * trapezoid_convolve(np.exp(-m.decay_rate * tau), u, dt)
-    return FitResult(
-        ProductivityFunction(impulse, modes),
-        _nrmse(y, predicted, yy),
-        float(np.linalg.norm(y - predicted)),
-    )
+    r = np.ldexp(best.r, ey)  # the residual of y, exactly
+    return FitResult(ProductivityFunction(impulse, modes), _nrmse(y, r, yy), float(np.linalg.norm(r)))

@@ -11,6 +11,9 @@ steady-state value.  Two band conventions are supported:
 * ``"final"``: the band is steady_state * (1 +/- epsilon); the settling
   time is the last time the analytic step response leaves that band,
   located numerically.  Requires a stable model with nonzero steady state.
+
+Responses to recorded inputs come from one routine, ``trapezoid_convolve``:
+exact block sums of exponential kernels, which identification uses too.
 """
 
 from __future__ import annotations
@@ -99,73 +102,111 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     return TimeSeries(t, y)
 
 
-class TrapezoidConvolver:
-    """``trapezoid_convolve`` of one input with stacks of kernels, taking the input's FFT once."""
-
-    def __init__(self, u: np.ndarray, dt: float):
-        self.u, self.dt, self.nfft = u, dt, 1 << max(2 * len(u) - 1, 2).bit_length()
-        self.u_hat = np.fft.rfft(u, self.nfft)
-
-    def __call__(self, kernels: np.ndarray) -> np.ndarray:
-        """The responses of a stack of ``kernels`` (rows, n), one row each."""
-        n = kernels.shape[1]
-        spec = np.fft.rfft(kernels, self.nfft)
-        spec *= self.u_hat  # in place: a call holds one spectrum at a time
-        full = np.fft.irfft(spec, self.nfft)
-        # the columns of full past the result (nfft >= 2n) hold the products k[0] u[i]
-        head_u = np.multiply(kernels[:, :1], self.u, out=full[:, n : 2 * n])
-        return trapezoid_ends(full[:, :n], head_u, kernels, self.u[0], self.dt, np.empty(kernels.shape))
+# samples per block, and blocks per group at the least, of ``response_groups``
+_BLOCK = 16
+_CARRY = 1 << 16  # values in a group's carry matrices: few rates take more blocks per group
 
 
-def trapezoid_ends(rect, head_u, kernels, u0, dt, out):
-    """The trapezoid rule's endpoint terms and scale: dt * (rect - (head_u + kernels * u0) / 2) into ``out``.
+def _toeplitz(heads: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
+    """(..., m, m) lower-triangular Toeplitz matrices, heads[..., i - j + shift] where i >= j, else 0."""
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    padded = np.concatenate([heads, np.zeros(heads.shape[:-1] + (1,))], axis=-1)
+    return np.take(padded, np.where(lag >= 0, lag + shift, -1), axis=-1)
 
-    ``rect`` holds rectangle-rule sums sum_j k[j] u[i - j] at times i, ``head_u`` the products
-    k[0] u[i], and ``kernels`` the kernel values k[i] at the same times; ``u0`` is the input at
-    lag 0.  ``out`` may be ``kernels``.  Every trapezoid convolution (``TrapezoidConvolver``, and
-    the block pass of ``identify.Candidates``) weights its ends here.
+
+def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bool = False):
+    """The trapezoid-rule responses to ``u`` of the kernels exp(-rate * tau), tau = 0, dt, 2 dt, ...
+
+    Yields (lo, b, S) for each group of samples lo .. lo + b - 1, with S[i, j, m] the response of
+    rate i at sample lo + m L + j, zero past the record's end.  S is overwritten by the next group.
+    With ``derivatives`` the rows of the kernels tau * exp(-rate * tau) follow, one per rate.
+
+    A group is 16 blocks of L = 16 samples, and one matrix product takes every rate's blocks of a
+    group.  Each rate's L x L Toeplitz matrix of kernel heads a^(j - q) = exp(-rate * tau[j - q])
+    has 1/2 on its diagonal and the first input sample is halved once: the trapezoid weights.  The
+    full sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
+    S[lo + j] += a^(j + 1) c[lo - 1] (Stockham 1966), over a group's blocks by one product with the
+    Toeplitz matrix of the block factors a^(L d) = exp(-rate * tau[L d]).  The derivative sums w
+    carry as w[lo + j] += a^(j + 1) (w[lo - 1] + tau[j + 1] c[lo - 1]).  Every sum is formed from its
+    own terms, so a response far below its kernel's head, growing or decaying, keeps its relative
+    accuracy.  For R rates and n samples this costs O(R L n) time and O(R L^2) memory.
     """
-    np.multiply(kernels, u0, out=out)
-    out += head_u
-    out *= -0.5
-    out += rect
-    out *= dt
+    R, n, k = len(rates), len(u), 2 if derivatives else 1
+    if not R:
+        return
+    L = min(_BLOCK, n)
+    M = min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * max(R, 1)))))  # blocks per group
+    tau, tau_blocks = dt * np.arange(L + 1), (L * dt) * np.arange(M + 1)
+    heads = np.exp(np.multiply.outer(-rates, tau))
+    factors = np.exp(np.multiply.outer(-rates, tau_blocks))
+    half = heads[:, :L].copy()
+    half[:, 0] = 0.5
+    # the Toeplitz matrices of the sums c, then of w with derivatives
+    toep = _toeplitz(np.stack([half, heads[:, :L] * tau[:L]][:k]), L).reshape(k * R * L, L)
+    # carry[..., m, p] takes the sum at ends[p] to the one at ends[m + 1], for p <= m
+    carry = _toeplitz(np.stack([factors, factors * tau_blocks][:k]), M, 1)
+    heads_tau = heads[:, 1:, None] * tau[1:, None]
+    x, buf = np.zeros(M * L), np.empty(k * R * M * L)
+    ends = np.zeros((k, R, M + 1))  # the sum before the group, then at the end of each block
+    for lo in range(0, n, M * L):
+        b = min(M * L, n - lo)
+        nb = -(-b // L)
+        x[:b], x[b:] = u[lo : lo + b] * dt, 0.0
+        if lo == 0:
+            x[0] *= 0.5
+        blocks = x[: nb * L].reshape(nb, L).T
+        S = np.matmul(toep, blocks, out=buf[: k * R * L * nb].reshape(k * R * L, nb)).reshape(k, R, L, nb)
+        ends[:, :, 1 : nb + 1] = S[:, :, -1, :]
+        ends[0, :, 1 : nb + 1] += 0.5 * blocks[-1]
+        # into[..., m]: the sum carried into block m, and past the group for m = nb
+        into = ends[..., : nb + 1].copy()
+        into[..., 1:] += np.matmul(carry[0, :, :nb, :nb], ends[..., :nb, None])[..., 0]
+        if derivatives:
+            into[1, :, 1:] += np.matmul(carry[1, :, :nb, :nb], ends[0, :, :nb, None])[..., 0]
+            S[1] += heads_tau * into[0, :, None, :nb]
+        S += heads[:, 1:, None] * into[:, :, None, :nb]
+        ends[:, :, 0] = into[:, :, nb]
+        if lo == 0:
+            S[0, :, 0, 0] = 0.0
+        S[..., b - (nb - 1) * L :, -1] = 0.0
+        yield lo, b, S.reshape(k * R, L, nb)
+
+
+def trapezoid_convolve(rates, u: np.ndarray, dt: float, derivatives: bool = False) -> np.ndarray:
+    """Trapezoid-rule convolutions of u with the kernels exp(-rate * tau), one row per rate.
+
+    ``u`` is sampled at tau = 0, dt, 2 dt, ...  With ``derivatives`` one row per rate follows
+    with the response's derivative with respect to log|rate|, the convolution of
+    -rate * tau * exp(-rate * tau) with u.  Computed exactly in blocks (``response_groups``).
+    """
+    rates = np.asarray(rates, dtype=float)
+    out = np.empty(((2 if derivatives else 1) * len(rates), len(u)))
+    for lo, b, S in response_groups(rates, np.asarray(u, dtype=float), dt, derivatives):
+        out[:, lo : lo + b] = S.transpose(0, 2, 1).reshape(len(out), S.shape[1] * S.shape[2])[:, :b]
+    if derivatives:
+        out[len(rates) :] *= -rates[:, None]
     return out
-
-
-def trapezoid_convolve(kernel: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Discrete convolution integral of one kernel with u on a uniform grid.
-
-    ``kernel`` is sampled like ``u``; stacks of kernels go through
-    ``TrapezoidConvolver``.  Trapezoidal weights, FFT-based so long records
-    stay fast: the rectangle-rule convolution minus half of the two endpoint products, times dt.
-    """
-    return TrapezoidConvolver(u, dt)(kernel[None])[0]
 
 
 def simulate_response(pf: ProductivityFunction, input: TimeSeries, dt: float) -> TimeSeries:
     """Output of the process for a recorded input, by numeric convolution.
 
-    The input is linearly resampled onto a uniform grid with step dt
-    spanning its record (and treated as zero before the record starts);
-    the exponential part of the kernel is convolved with trapezoidal
-    weights and the impulse term feeds the input through directly.
+    The input is linearly resampled onto a uniform grid with step dt spanning its record (and
+    treated as zero before the record starts).  Each mode's trapezoid-rule response comes from
+    ``trapezoid_convolve`` and is scaled by its gain; the impulse term feeds the input through
+    directly.  Raises ValueError when the response overflows.
     """
     grid = uniform_grid(input.t[0], input.t[-1], dt)
     if len(grid) < 2:
         raise ValueError("fewer than 2 samples on the resampled grid; decrease dt")
     u = resample(input, grid)
-    y = pf.impulse_gain * u
-    if pf.modes:
-        tau = grid - grid[0]
-        with np.errstate(over="raise"):
-            try:
-                kernel = np.zeros_like(tau)
-                for m in pf.modes:
-                    kernel += m.gain * np.exp(-m.decay_rate * tau)
-            except FloatingPointError:
-                raise ValueError("growing mode overflows over this record; shorten the horizon") from None
-        y = y + trapezoid_convolve(kernel, u, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = pf.impulse_gain * u
+        if pf.modes:
+            rates, gains = np.array([(m.decay_rate, m.gain) for m in pf.modes]).T
+            y += gains @ trapezoid_convolve(rates, u, dt)
+    if not np.isfinite(y).all():
+        raise ValueError("response overflows over this record; shorten the horizon or scale the input down")
     return TimeSeries(grid, y)
 
 

@@ -25,6 +25,7 @@ from prodflow.identify import (
     rate_grid,
     refine,
 )
+from prodflow.transient import trapezoid_convolve
 from expected import P1
 
 # coarse grid keeps unit tests quick; the acceptance suite runs the default
@@ -291,8 +292,18 @@ def mode_record(pf, dt, n):
 
 
 def unit_responses(basis, rates):
-    S = basis.convolve(np.exp(-np.outer(rates, basis.tau)))
+    S = trapezoid_convolve(rates, basis.u, basis.dt)
     return S / np.linalg.norm(S, axis=1)[:, None]
+
+
+def recursion_responses(basis, rates):
+    """Reference: the rectangle sums by recursion, z[i] = a z[i - 1] + u[i], and the trapezoid ends."""
+    a, u, dt = np.exp(-rates * basis.dt), basis.u, basis.dt
+    S, z = np.empty((len(rates), len(u))), np.zeros(len(rates))
+    for i, x in enumerate(u):
+        z = a * z + x
+        S[:, i] = dt * (z - 0.5 * (x + np.exp(-rates * basis.tau[i]) * u[0]))
+    return S
 
 
 def search_stats(S, prev):
@@ -329,8 +340,8 @@ class TestModeBasis:
 
     def test_unit_responses_match_one_stacked_convolution(self):
         basis = self.basis()
-        raw = basis.convolve(np.exp(-np.outer(self.RATES, basis.tau)))
-        S = unit_responses(basis, self.RATES)
+        raw = recursion_responses(basis, self.RATES)
+        S = raw / np.linalg.norm(raw, axis=1)[:, None]
         cands = Candidates(basis, self.RATES, gram=True)
         assert cands.rates is self.RATES and Candidates(basis, self.RATES).gram is None
         assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
@@ -339,8 +350,10 @@ class TestModeBasis:
     def test_correlation_form_matches_the_explicit_products(self):
         basis = self.basis()
         V = np.random.default_rng(4).standard_normal((700, 3))
+        S = recursion_responses(basis, self.RATES)
+        S /= np.linalg.norm(S, axis=1)[:, None]
         # unit rows: every product is at most |v| ~ 26 in size
-        assert np.abs(Candidates(basis, self.RATES).dot(V) - unit_responses(basis, self.RATES) @ V).max() < 1e-12
+        assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
 
     def test_growing_kernels_stay_accurate_after_leading_zeros(self):
         # the input is off until t = 5, so the rate -7 response starts e^35 below its end
@@ -391,22 +404,20 @@ class TestModeBasis:
         assert cands.rates.shape == (0,) and cands.gram.shape == (0, 0)
         assert cands.dot(np.ones((10, 2))).shape == (0, 2)
 
-    def test_a_fit_convolves_through_one_convolver_per_job(self, monkeypatch):
-        from prodflow import identify, transient
+    def test_a_fit_and_a_simulation_need_no_fft(self, monkeypatch):
+        from prodflow import simulate_response
 
-        made = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("an FFT was taken")
 
-        class Counting(transient.TrapezoidConvolver):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(transient, "TrapezoidConvolver", Counting)
-        monkeypatch.setattr(identify, "TrapezoidConvolver", Counting)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(np.fft, "irfft", refuse)
         two = ProductivityFunction(0.3, (ExponentialMode(0.8, 0.9), ExponentialMode(-0.2, 0.15)))
-        fit = fit_productivity(step_run(two, 30.0, 0.1, noise=0.01, seed=3), FitConfig(max_modes=2))
-        # the refinement's and one per mode for the prediction
-        assert len(fit.model.modes) == 2 and len(made) <= 1 + len(fit.model.modes)
+        run = step_run(two, 30.0, 0.1, noise=0.01, seed=3)
+        fit = fit_productivity(run, FitConfig(max_modes=2))
+        assert len(fit.model.modes) == 2 and fit.gof > 0.9
+        sim = simulate_response(fit.model, run.input, 0.1)
+        assert goodness_of_fit(sim, run.output) == pytest.approx(fit.gof, abs=1e-12)
 
 
 class TestGridScan:
@@ -522,8 +533,7 @@ class TestRefine:
         y = y + 0.02 * np.random.default_rng(2).standard_normal(len(y))
         prev = project(basis, y, np.array([0.35]), True)
         cands = np.array([-0.05, 0.01, 0.1, 0.35, 1.0, 2.5, 9.0])
-        S = basis.convolve(np.exp(-np.outer(cands, basis.tau)))
-        S /= np.linalg.norm(S, axis=1)[:, None]
+        S = unit_responses(basis, cands)
         # the candidate equal to the previous rate is singular and skipped
         ref = min((project(basis, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
         assert list(extend_rate_set(cands, *search_stats(S, prev), prev)) == sorted([0.35, ref[1]])

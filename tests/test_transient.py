@@ -35,7 +35,7 @@ from expected import (
     TS_CASE3,
     TS_CASE4,
 )
-from prodflow.transient import TrapezoidConvolver, step_values, trapezoid_convolve
+from prodflow.transient import step_values, trapezoid_convolve
 
 
 def unit_step(horizon: float, dt: float) -> TimeSeries:
@@ -119,29 +119,67 @@ class TestSimulateResponse:
         with pytest.raises(ValueError, match="overflow"):
             simulate_response(P2_GROWING, inp, 10.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_response_is_one_value_error(self):
+        # every kernel value is at most 1, but the response to 1e300 passes the float maximum
+        pf = ProductivityFunction(0.0, (ExponentialMode(1e300, 0.5),))
+        inp = TimeSeries(np.linspace(0.0, 5.0, 51), np.full(51, 1e300))
+        with pytest.raises(ValueError, match="^response overflows"):
+            simulate_response(pf, inp, 0.1)
+
+
+def direct_trapezoid(kernel, u, dt):
+    """The trapezoid rule term by term."""
+    return np.array([dt * (np.dot(kernel[: k + 1], u[k::-1]) - 0.5 * (kernel[0] * u[k] + kernel[k] * u[0]))
+                     for k in range(len(u))])
+
 
 class TestTrapezoidConvolve:
+    # growing and decaying, up to e^5 over the longest record
+    RATES = np.array([-0.05, -0.004, 0.02, 0.7, 9.0])
+
     @pytest.mark.parametrize("n", [2, 3, 200, 1001])
     def test_matches_direct_sum_and_stacks_row_by_row(self, n):
         rng = np.random.default_rng(n)
-        u, kernels, dt = rng.normal(size=n), rng.normal(size=(3, n)), 0.1
-        stacked = TrapezoidConvolver(u, dt)(kernels)
-        for kernel, row in zip(kernels, stacked):
-            # the trapezoid rule term by term, as the reference
-            direct = [dt * (np.dot(kernel[: k + 1], u[k::-1]) - 0.5 * (kernel[0] * u[k] + kernel[k] * u[0]))
-                      for k in range(n)]
-            np.testing.assert_allclose(trapezoid_convolve(kernel, u, dt), direct, rtol=0, atol=1e-12 * n)
-            assert np.array_equal(row, trapezoid_convolve(kernel, u, dt))
+        u, dt, k = rng.normal(size=n), 0.1, len(self.RATES)
+        u[0] = 1.3  # the trapezoid's u[0] end term counts
+        tau = dt * np.arange(n)
+        rows = trapezoid_convolve(self.RATES, u, dt, derivatives=True)
+        assert rows.shape == (2 * k, n)
+        for rate, row, deriv in zip(self.RATES, rows[:k], rows[k:]):
+            kernel = np.exp(-rate * tau)
+            direct = direct_trapezoid(kernel, u, dt)
+            np.testing.assert_allclose(row, direct, rtol=0, atol=1e-13 * n * np.abs(direct).max())
+            # the derivative with respect to log|rate| is rate times the one with respect to rate
+            direct = rate * direct_trapezoid(-tau * kernel, u, dt)
+            np.testing.assert_allclose(deriv, direct, rtol=0, atol=1e-13 * n * np.abs(direct).max())
+        without = trapezoid_convolve(self.RATES, u, dt)
+        np.testing.assert_allclose(without, rows[:k], rtol=0, atol=1e-14 * np.abs(without).max())
 
     def test_successive_stacks_of_different_heights_match_one_kernel_calls(self):
         rng = np.random.default_rng(5)
         u, dt = rng.normal(size=50), 0.2
-        conv = TrapezoidConvolver(u, dt)
-        # one convolver serves stacks that shrink and grow, with nothing carried from one to the next
+        # nothing is carried from one call to the next, whatever the number of rates
         for rows in (2, 1, 3, 2):
-            kernels = rng.normal(size=(rows, 50))
-            got = conv(kernels)
-            assert all(np.array_equal(row, trapezoid_convolve(kernel, u, dt)) for row, kernel in zip(got, kernels))
+            rates = rng.uniform(-0.5, 5.0, size=rows)
+            got = trapezoid_convolve(rates, u, dt)
+            for rate, row in zip(rates, got):
+                np.testing.assert_allclose(row, trapezoid_convolve([rate], u, dt)[0], rtol=0, atol=1e-14 * np.abs(row).max())
+
+    def test_growing_mode_matches_a_long_double_recursion(self):
+        # the input is off for 50 samples, so the early response is e^8 below the last one
+        n, dt, rate = 16_000, 0.05, -0.01
+        tau = dt * np.arange(n)
+        u = np.where(np.arange(n) >= 50, 1.0 + 0.5 * np.sin(0.3 * tau), 0.0)
+        ld = np.longdouble
+        a, z, ref = np.exp(-ld(rate) * ld(dt)), ld(0.0), np.empty(n, dtype=ld)
+        for i, x in enumerate(u):
+            z = a * z + ld(x)
+            ref[i] = ld(dt) * (z - ld(0.5) * ld(x))  # u[0] is 0
+        err = np.abs(trapezoid_convolve([rate], u, dt)[0] - ref)
+        nonzero = ref != 0
+        assert (err[nonzero] <= 1e-12 * np.abs(ref[nonzero])).all() and (err[~nonzero] == 0).all()
+        assert err.max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSettlingTime:
