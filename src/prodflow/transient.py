@@ -121,10 +121,11 @@ def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bo
     rate i at sample lo + m L + j, zero past the record's end.  S is overwritten by the next group.
     With ``derivatives`` the rows of the kernels tau * exp(-rate * tau) follow, one per rate.
 
-    A group is 16 blocks of L = 16 samples, and one matrix product takes every rate's blocks of a
-    group.  Each rate's L x L Toeplitz matrix of kernel heads a^(j - q) = exp(-rate * tau[j - q])
-    has 1/2 on its diagonal and the first input sample is halved once: the trapezoid weights.  The
-    full sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
+    A group is 16 blocks of L = 16 samples, or more blocks while few rates keep its carry matrices
+    within ``_CARRY`` values, and one matrix product takes every rate's blocks of a group.  Each
+    rate's L x L Toeplitz matrix of kernel heads a^(j - q) = exp(-rate * tau[j - q]) has 1/2 on its
+    diagonal and the first input sample, scaled by dt like the rest, is halved once: the trapezoid
+    weights.  The full sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
     S[lo + j] += a^(j + 1) c[lo - 1] (Stockham 1966), over a group's blocks by one product with the
     Toeplitz matrix of the block factors a^(L d) = exp(-rate * tau[L d]).  The derivative sums w
     carry as w[lo + j] += a^(j + 1) (w[lo - 1] + tau[j + 1] c[lo - 1]).  Every sum is formed from its
