@@ -360,14 +360,9 @@ class TestModeBasis:
         tau = 0.05 * np.arange(400)
         u = np.where(tau >= 5.0, 1.0 + 0.2 * np.sin(tau), 0.0)
         rates = np.array([-7.0, -3.0, 0.5])
-        # reference: the rectangle sums by recursion, z[i] = a z[i - 1] + u[i], and the trapezoid ends
-        S = np.empty((3, 400))
-        for row, rate in zip(S, rates):
-            a, z = math.exp(-rate * 0.05), 0.0
-            for i, x in enumerate(u):
-                z = a * z + x
-                row[i] = 0.05 * (z - 0.5 * (x + math.exp(-rate * tau[i]) * u[0]))
-        cands = Candidates(ModeBasis(tau, u, 0.05), rates)
+        basis = ModeBasis(tau, u, 0.05)
+        S = recursion_responses(basis, rates)
+        cands = Candidates(basis, rates)
         assert cands.norms == pytest.approx(np.linalg.norm(S, axis=1), rel=1e-12)
         V = np.random.default_rng(5).standard_normal((400, 2))
         expected = S / np.linalg.norm(S, axis=1)[:, None] @ V
