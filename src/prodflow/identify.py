@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
-from .transient import response_groups, trapezoid_convolve
+from .transient import response_groups, response_moments, trapezoid_convolve
 
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
@@ -198,11 +198,15 @@ class Candidates:
 def _block_pass(basis: ModeBasis, rates: np.ndarray, V: np.ndarray, gram: bool):
     """(squared norms, S S' or None, S V) of the candidates' responses S before normalising.
 
-    Each group's responses stay in ``response_groups``' [rate, j, m] layout, for the sample
+    Without ``gram`` they come from ``response_moments``, which never forms S.  With it each
+    group's responses stay in ``response_groups``' [rate, j, m] layout, for the sample
     lo + m L + j; the sums over its samples run in that order.
     """
+    if not gram:
+        sq, SV = response_moments(rates, basis.u, basis.dt, V)
+        return sq, None, SV
     R, k = len(rates), V.shape[1]
-    sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R)) if gram else None
+    sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R))
     for lo, b, S in response_groups(rates, basis.u, basis.dt):
         L, nb = S.shape[1:]
         vb = np.zeros((nb * L, k))  # the group's columns, zero past the record's end
@@ -210,8 +214,7 @@ def _block_pass(basis: ModeBasis, rates: np.ndarray, V: np.ndarray, gram: bool):
         S = S.reshape(R, L * nb)
         sq += np.einsum("ij,ij->i", S, S)
         SV += S @ vb.reshape(nb, L, k).transpose(1, 0, 2).reshape(L * nb, k)
-        if gram:
-            G += S @ S.T
+        G += S @ S.T
     return sq, G, SV
 
 

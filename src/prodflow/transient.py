@@ -18,6 +18,7 @@ exact block sums of exponential kernels, which identification uses too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,16 +103,68 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     return TimeSeries(t, y)
 
 
-# samples per block, and blocks per group at the least, of ``response_groups``
+# samples per block, and blocks per group at the least, of ``response_groups`` and ``response_moments``
 _BLOCK = 16
 _CARRY = 1 << 16  # values in a group's carry matrices: few rates take more blocks per group
 
 
+@functools.lru_cache(maxsize=64)
+def _lags(m: int, shift: int) -> np.ndarray:
+    """Read-only (m, m) indices i - j + shift where i >= j, else -1 (the zero after the heads)."""
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    lag = np.where(lag >= 0, lag + shift, -1)
+    lag.flags.writeable = False
+    return lag
+
+
 def _toeplitz(heads: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
     """(..., m, m) lower-triangular Toeplitz matrices, heads[..., i - j + shift] where i >= j, else 0."""
-    lag = np.subtract.outer(np.arange(m), np.arange(m))
     padded = np.concatenate([heads, np.zeros(heads.shape[:-1] + (1,))], axis=-1)
-    return np.take(padded, np.where(lag >= 0, lag + shift, -1), axis=-1)
+    return np.take(padded, _lags(m, shift), axis=-1)
+
+
+def _group_size(n: int, R: int, k: int = 1) -> tuple[int, int]:
+    """(L, M): samples per block and blocks per group for R rates with k carried sums each."""
+    L = min(_BLOCK, n)
+    return L, min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * R))))
+
+
+def _block_kernels(rates: np.ndarray, dt: float, L: int, M: int, derivatives: bool = False):
+    """(tau, heads, toep, carry): the trapezoid-rule block matrices of the kernels exp(-rate * tau).
+
+    tau = dt * (0 .. L) and heads[i, j] = a^j = exp(-rates[i] * tau[j]), from exp, never from powers
+    of a rounded a.  toep[0, i] is rate i's L x L Toeplitz matrix of the heads a^(j - q) with 1/2 on
+    its diagonal, the trapezoid weights of a block, and carry[0, i] the M x M Toeplitz matrix of the
+    block factors, carry[0, i, m, p] = a^(L (m - p + 1)) = exp(-rates[i] * L dt (m - p + 1)) for
+    p <= m.  With ``derivatives`` toep[1] and carry[1] follow for the kernels tau * exp(-rate * tau).
+    """
+    k = 2 if derivatives else 1
+    tau, tau_blocks = dt * np.arange(L + 1), (L * dt) * np.arange(M + 1)
+    heads = np.exp(np.multiply.outer(-rates, tau))
+    factors = np.exp(np.multiply.outer(-rates, tau_blocks))
+    half = heads[:, :L].copy()
+    half[:, 0] = 0.5
+    toep = _toeplitz(np.stack([half, heads[:, :L] * tau[:L]][:k]), L)
+    carry = _toeplitz(np.stack([factors, factors * tau_blocks][:k]), M, 1)
+    return tau, heads, toep, carry
+
+
+def _block_inputs(u: np.ndarray, dt: float, lo: int, b: int, out: np.ndarray) -> np.ndarray:
+    """The samples lo .. lo + b - 1 of dt * u, the first of the record halved, zero-padded in ``out``."""
+    out[:b], out[b:] = u[lo : lo + b] * dt, 0.0
+    if lo == 0:
+        out[0] *= 0.5
+    return out
+
+
+def _carry_into(carry: np.ndarray, ends: np.ndarray, nb: int) -> np.ndarray:
+    """into[..., m]: the full sum carried into block m of a group, and past it for m = nb.
+
+    ends[..., 0] is the sum carried into the group and ends[..., m + 1] block m's own sum at its end.
+    """
+    into = ends[..., : nb + 1].copy()
+    into[..., 1:] += np.matmul(carry[..., :nb, :nb], ends[..., :nb, None])[..., 0]
+    return into
 
 
 def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bool = False):
@@ -123,9 +176,9 @@ def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bo
 
     A group is 16 blocks of L = 16 samples, or more blocks while few rates keep its carry matrices
     within ``_CARRY`` values, and one matrix product takes every rate's blocks of a group.  Each
-    rate's L x L Toeplitz matrix of kernel heads a^(j - q) = exp(-rate * tau[j - q]) has 1/2 on its
-    diagonal and the first input sample, scaled by dt like the rest, is halved once: the trapezoid
-    weights.  The full sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
+    rate's L x L Toeplitz matrix of kernel heads (``_block_kernels``) has 1/2 on its diagonal and the
+    first input sample, scaled by dt like the rest, is halved once: the trapezoid weights.  The full
+    sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
     S[lo + j] += a^(j + 1) c[lo - 1] (Stockham 1966), over a group's blocks by one product with the
     Toeplitz matrix of the block factors a^(L d) = exp(-rate * tau[L d]).  The derivative sums w
     carry as w[lo + j] += a^(j + 1) (w[lo - 1] + tau[j + 1] c[lo - 1]).  Every sum is formed from its
@@ -135,33 +188,20 @@ def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bo
     R, n, k = len(rates), len(u), 2 if derivatives else 1
     if not R:
         return
-    L = min(_BLOCK, n)
-    M = min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * max(R, 1)))))  # blocks per group
-    tau, tau_blocks = dt * np.arange(L + 1), (L * dt) * np.arange(M + 1)
-    heads = np.exp(np.multiply.outer(-rates, tau))
-    factors = np.exp(np.multiply.outer(-rates, tau_blocks))
-    half = heads[:, :L].copy()
-    half[:, 0] = 0.5
-    # the Toeplitz matrices of the sums c, then of w with derivatives
-    toep = _toeplitz(np.stack([half, heads[:, :L] * tau[:L]][:k]), L).reshape(k * R * L, L)
-    # carry[..., m, p] takes the sum at ends[p] to the one at ends[m + 1], for p <= m
-    carry = _toeplitz(np.stack([factors, factors * tau_blocks][:k]), M, 1)
+    L, M = _group_size(n, R, k)
+    tau, heads, toep, carry = _block_kernels(rates, dt, L, M, derivatives)
+    toep = toep.reshape(k * R * L, L)
     heads_tau = heads[:, 1:, None] * tau[1:, None]
     x, buf = np.zeros(M * L), np.empty(k * R * M * L)
     ends = np.zeros((k, R, M + 1))  # the sum before the group, then at the end of each block
     for lo in range(0, n, M * L):
         b = min(M * L, n - lo)
         nb = -(-b // L)
-        x[:b], x[b:] = u[lo : lo + b] * dt, 0.0
-        if lo == 0:
-            x[0] *= 0.5
-        blocks = x[: nb * L].reshape(nb, L).T
+        blocks = _block_inputs(u, dt, lo, b, x)[: nb * L].reshape(nb, L).T
         S = np.matmul(toep, blocks, out=buf[: k * R * L * nb].reshape(k * R * L, nb)).reshape(k, R, L, nb)
         ends[:, :, 1 : nb + 1] = S[:, :, -1, :]
         ends[0, :, 1 : nb + 1] += 0.5 * blocks[-1]
-        # into[..., m]: the sum carried into block m, and past the group for m = nb
-        into = ends[..., : nb + 1].copy()
-        into[..., 1:] += np.matmul(carry[0, :, :nb, :nb], ends[..., :nb, None])[..., 0]
+        into = _carry_into(carry[0], ends, nb)
         if derivatives:
             into[1, :, 1:] += np.matmul(carry[1, :, :nb, :nb], ends[0, :, :nb, None])[..., 0]
             S[1] += heads_tau * into[0, :, None, :nb]
@@ -171,6 +211,67 @@ def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bo
             S[0, :, 0, 0] = 0.0
         S[..., b - (nb - 1) * L :, -1] = 0.0
         yield lo, b, S.reshape(k * R, L, nb)
+
+
+def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray):
+    """(squared norms, S V) of the trapezoid-rule responses S of the kernels exp(-rate * tau) to ``u``.
+
+    The same responses as ``response_groups``', read from moments of the input without forming S.
+    With blocks x_m of L samples of dt * u (the first halved), c[m - 1] the full sum carried into
+    block m, T the rate's Toeplitz matrix and h[j] = a^(j + 1) (``_block_kernels``), block m's
+    response is s_m = T x_m + c[m - 1] h.  So, summed over the blocks between the record's first
+    and last,
+      |s|^2 = <T'T, X> + 2 (T'h) . sum_m c[m - 1] x_m + |h|^2 sum_m c[m - 1]^2,  X = sum_m x_m x_m',
+      s . v = <T, sum_m v_m x_m'> + h . sum_m c[m - 1] v_m,
+    where X and the sums of v_m x_m' are shared by every rate.  The first block (its response at
+    t = 0 is 0) and the last (its response is 0 past the record's end) are formed explicitly.
+    Along the record each rate takes only its block-end sums and their carry, in groups of blocks
+    as in ``response_groups``: O(R n (k + 3)) time for R rates and k columns of V, and
+    O(R L^2 + R M^2) memory for M blocks per group, whatever n.
+    """
+    R, n, k = len(rates), len(u), V.shape[1]
+    sq, SV = np.zeros(R), np.zeros((R, k))
+    if not R:
+        return sq, SV
+    L, M = _group_size(n, R)
+    _, heads, toep, carry = _block_kernels(rates, dt, L, M)
+    toep, carry, h = toep[0], carry[0], heads[:, 1:]
+    g = np.ascontiguousarray(heads[:, L - 1 :: -1])  # a^(L - 1 - q): a block's full sum at its end
+    x, v = np.zeros(M * L), np.zeros((M * L, k))
+    Z = np.empty((M, L * (1 + k)))  # row m: block m's inputs x_m, then its rows v_m of V
+    XZ = np.zeros((L * (1 + k), L))  # sum_m z_m x_m'
+    CZ, cc = np.zeros((R, L * (1 + k))), np.zeros(R)  # sum_m c[m - 1] z_m, sum_m c[m - 1]^2
+    ends = np.zeros((R, M + 1))  # the sum before the group, then each block's own at its end
+    for lo in range(0, n, M * L):
+        b = min(M * L, n - lo)
+        nb = -(-b // L)
+        v[:b], v[b:] = V[lo : lo + b], 0.0
+        Z[:nb, :L] = _block_inputs(u, dt, lo, b, x)[: nb * L].reshape(nb, L)
+        Z[:nb, L:] = v[: nb * L].reshape(nb, L * k)
+        ends[:, 1 : nb + 1] = g @ Z[:nb, :L].T
+        into = _carry_into(carry, ends, nb)
+        ends[:, 0] = into[:, nb]
+        first, last = lo == 0, lo + b == n
+        edges = {0} if first else set()  # the record's first and last blocks, formed explicitly
+        if last:
+            edges.add(nb - 1)
+        mid = slice(int(first), nb - int(last))
+        XZ += Z[mid].T @ Z[mid, :L]
+        CZ += into[:, mid] @ Z[mid]
+        cc += np.einsum("ij,ij->i", into[:, mid], into[:, mid])
+        for m in edges:
+            s = toep @ Z[m, :L] + into[:, m, None] * h
+            if first and m == 0:
+                s[:, 0] = 0.0
+            s[:, b - m * L :] = 0.0
+            sq += np.einsum("ij,ij->i", s, s)
+            SV += s @ Z[m, L:].reshape(L, k)
+    Th = np.einsum("ijq,ij->iq", toep, h)
+    sq += np.einsum("ijq,ijq->i", toep @ XZ[:L], toep) + 2.0 * np.einsum("iq,iq->i", Th, CZ[:, :L])
+    sq += np.einsum("ij,ij->i", h, h) * cc
+    P = XZ[L:].reshape(L, k, L).transpose(1, 0, 2).reshape(k, L * L)  # sum_m v_m x_m' per column
+    SV += toep.reshape(R, L * L) @ P.T + np.einsum("ij,ijk->ik", h, CZ[:, L:].reshape(R, L, k))
+    return sq, SV
 
 
 def trapezoid_convolve(rates, u: np.ndarray, dt: float, derivatives: bool = False) -> np.ndarray:

@@ -355,6 +355,48 @@ class TestModeBasis:
         # unit rows: every product is at most |v| ~ 26 in size
         assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
 
+    def test_passes_without_a_gram_matrix_form_no_responses(self, monkeypatch):
+        import prodflow.identify
+        import prodflow.transient
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pass without a Gram matrix formed the responses")
+
+        monkeypatch.setattr(prodflow.transient, "response_groups", refuse)
+        monkeypatch.setattr(prodflow.identify, "response_groups", refuse, raising=False)
+        basis = self.basis()
+        V = np.random.default_rng(7).standard_normal((700, 3))
+        raw = recursion_responses(basis, self.RATES)
+        S = raw / np.linalg.norm(raw, axis=1)[:, None]
+        cands = Candidates(basis, self.RATES, V=V)
+        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
+        assert np.abs(cands.products - S @ V).max() < 1e-12
+        assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 700, 3001])
+    def test_signed_input_matches_a_long_double_recursion(self, n):
+        # n < 16, one block, a one-sample last block and several groups of blocks; the input
+        # changes sign, so a block's own sums and the sum carried into it can cancel
+        dt = 0.05
+        tau = dt * np.arange(n)
+        rng = np.random.default_rng(n)
+        u = np.where(np.cos(2.0 * np.pi * tau / 5.0) >= 0.0, 1.0, -1.0) + 0.01 * rng.standard_normal(n)
+        # growing rates up to the search's growth cutoff, rate * span = 150
+        rates = np.concatenate([-np.geomspace(1e-3, min(1e3, 150.0 / tau[-1]), 10), np.geomspace(1e-3, 1e3, 40)])
+        ld = np.longdouble
+        a, z = np.exp(-rates.astype(ld) * ld(dt)), np.zeros(len(rates), dtype=ld)
+        S = np.empty((len(rates), n), dtype=ld)
+        for i, x in enumerate(u.astype(ld)):
+            z = a * z + x
+            S[:, i] = ld(dt) * (z - ld(0.5) * (x + np.exp(-rates.astype(ld) * ld(tau[i])) * ld(u[0])))
+        norms = np.sqrt((S * S).sum(axis=1))
+        V = rng.standard_normal((n, 2))
+        expected = (S / norms[:, None] @ V.astype(ld)).astype(float)
+        cands = Candidates(ModeBasis(tau, u, dt), rates, V=V)
+        assert cands.norms == pytest.approx(norms.astype(float), rel=1e-13, abs=0.0)
+        assert np.abs(cands.products - expected).max() < 1e-13
+        assert np.abs(cands.dot(V) - expected).max() < 1e-13
+
     def test_growing_kernels_stay_accurate_after_leading_zeros(self):
         # the input is off until t = 5, so the rate -7 response starts e^35 below its end
         tau = 0.05 * np.arange(400)
