@@ -14,15 +14,17 @@ steady-state value.  Two band conventions are supported:
 
 Responses to recorded inputs come from one routine, ``trapezoid_convolve``:
 exact block sums of exponential kernels, which identification uses too.
+The search's norms and products of responses come from ``response_moments``
+without forming them, from the same block matrices (``_block_kernels``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import ProductivityFunction, TimeSeries, resample, steady_state_gain, uniform_grid
 
@@ -108,19 +110,15 @@ _BLOCK = 16
 _CARRY = 1 << 16  # values in a group's carry matrices: few rates take more blocks per group
 
 
-@functools.lru_cache(maxsize=64)
-def _lags(m: int, shift: int) -> np.ndarray:
-    """Read-only (m, m) indices i - j + shift where i >= j, else -1 (the zero after the heads)."""
-    lag = np.subtract.outer(np.arange(m), np.arange(m))
-    lag = np.where(lag >= 0, lag + shift, -1)
-    lag.flags.writeable = False
-    return lag
-
-
 def _toeplitz(heads: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
-    """(..., m, m) lower-triangular Toeplitz matrices, heads[..., i - j + shift] where i >= j, else 0."""
-    padded = np.concatenate([heads, np.zeros(heads.shape[:-1] + (1,))], axis=-1)
-    return np.take(padded, _lags(m, shift), axis=-1)
+    """(..., m, m) lower-triangular Toeplitz matrices, heads[..., i - j + shift] where i >= j, else 0.
+
+    Copied from a strided view of the heads after m - 1 zeros, so no index arrays are built.
+    """
+    padded = np.zeros(heads.shape[:-1] + (2 * m - 1,))
+    padded[..., m - 1 :] = heads[..., shift : shift + m]
+    step = padded.strides[-1]  # entry (i, j) reads padded[..., m - 1 + i - j]
+    return as_strided(padded[..., m - 1 :], heads.shape[:-1] + (m, m), padded.strides[:-1] + (step, -step)).copy()
 
 
 def _group_size(n: int, R: int, k: int = 1) -> tuple[int, int]:
