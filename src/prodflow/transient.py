@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .model import ProductivityFunction, TimeSeries, resample, steady_state_gain, uniform_grid
 
@@ -117,8 +116,9 @@ def _toeplitz(heads: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
     """
     padded = np.zeros(heads.shape[:-1] + (2 * m - 1,))
     padded[..., m - 1 :] = heads[..., shift : shift + m]
-    step = padded.strides[-1]  # entry (i, j) reads padded[..., m - 1 + i - j]
-    return as_strided(padded[..., m - 1 :], heads.shape[:-1] + (m, m), padded.strides[:-1] + (step, -step)).copy()
+    step = padded.itemsize  # entry (i, j) reads padded[..., m - 1 + i - j]
+    shape, strides = heads.shape[:-1] + (m, m), padded.strides[:-1] + (step, -step)
+    return np.ndarray(shape, padded.dtype, padded, (m - 1) * step, strides).copy()
 
 
 def _group_size(n: int, R: int, k: int = 1) -> tuple[int, int]:
