@@ -19,15 +19,18 @@ Two estimators:
   projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
   refined residual wins, the pair start on a tie.  Between orders the
   lowest residual wins, and ties go to the smaller model.  All responses
-  are the exact block sums of ``transient.response_groups``, and the fit's
+  are the exact trapezoid-rule block sums of ``transient``, and the fit's
   residual is the refined projection's.  The search never holds them: a
   pass gives the candidates' norms, for the pair scan their Gram matrix,
   and their products with the order 0 fit's projection; each later order
-  takes one more pass for the previous fit's.  Refinement takes each rate
-  set's modes and log-rate derivatives from ``trapezoid_convolve``.  For R
-  candidates, n samples and blocks of L = 16 a pass costs O(R L n) time,
-  the Gram matrix O(R^2 n) once per fit, and search memory is O(R L^2 + R^2)
-  whatever n.  The fit runs on copies of the input and output
+  takes one more pass for the previous fit's.  A pass without the Gram
+  matrix never forms the responses: ``transient.response_moments`` reads
+  the norms and products from block moments of the input in O(R n) time
+  for R candidates and n samples.  The Gram pass forms them in blocks of
+  L = 16 (``transient.response_groups``), O(R L n + R^2 n) once per fit.
+  Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
+  set's modes and log-rate derivatives from ``trapezoid_convolve``.  The
+  fit runs on copies of the input and output
   scaled by powers of two, which is exact, so that growing-mode responses
   to values near the overflow limit stay finite.  The whole procedure is
   deterministic at a fixed BLAS thread count: same run, config and thread
@@ -168,9 +171,10 @@ class Candidates:
     Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
     One pass over the record gives the responses' ``norms``, with ``gram`` the Gram matrix ``gram``
     = S S' (else None), and the ``products`` S V for the columns V given (else for none); ``dot``
-    gives S V for further columns in one more pass.  A pass reduces the exact responses of
-    ``transient.response_groups`` one group of samples at a time, so it costs O(R L n) time for R
-    rates and n samples, plus O(R^2 n) for the Gram matrix, and O(R L^2 + R^2) memory whatever n.
+    gives S V for further columns in one more pass.  For R rates and n samples a pass without the
+    Gram matrix, ``dot`` included, never forms S and costs O(R n) time (``response_moments``).  The
+    Gram pass reduces the exact responses of ``response_groups`` one group of samples at a time, in
+    O(R L n + R^2 n) time for blocks of L = 16.  Either takes O(R L^2 + R^2) memory whatever n.
     Rates without a response are dropped.
     """
 
