@@ -119,18 +119,23 @@ class ProcessRun:
             raise ValueError("total_time must cover the last input timestamp")
 
 
+def grid_count(t0: float, t1: float, dt: float) -> int:
+    """Number of samples of ``uniform_grid(t0, t1, dt)``, whose sample i is t0 + dt * i."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    count = (t1 - t0) / dt * (1.0 + 1e-12) + 1e-9
+    if not math.isfinite(count):
+        raise ValueError(f"sample count ({t1!r} - {t0!r}) / {dt!r} is not finite")
+    return int(math.floor(count)) + 1
+
+
 def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     """Sample times t0, t0+dt, ... up to (and not beyond) t1.
 
     The endpoint is included when t1 - t0 is an integer multiple of dt,
     within rounding.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    count = (t1 - t0) / dt * (1.0 + 1e-12) + 1e-9
-    if not math.isfinite(count):
-        raise ValueError(f"sample count ({t1!r} - {t0!r}) / {dt!r} is not finite")
-    return t0 + dt * np.arange(int(math.floor(count)) + 1)
+    return t0 + dt * np.arange(grid_count(t0, t1, dt))
 
 
 def resample(ts: TimeSeries, grid: np.ndarray) -> np.ndarray:

@@ -1,6 +1,13 @@
 """Dependency-free SVG line charts for step-response curves.
 
 Output is deterministic: the same curves produce byte-identical files.
+Every polyline coordinate is written exactly as "%.2f" writes it, the
+correctly rounded decimal with ties to even.  ``_points`` forms the text of
+a curve from whole arrays: rint(fl(100 v)) is that rounding of 100 v unless
+fl(100 v) lies within 100 v 2**-51 of a half, and digit tables spell out
+the result.  A curve with such a near-tie, or with a coordinate that is
+negative, -0.0, not finite or rounds to 1000.00 or more, is formatted by
+"%.2f" itself.
 """
 
 from __future__ import annotations
@@ -19,8 +26,30 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 180, 24, 48
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf")
 
 
+# 4-byte words of "%d" of 0 .. 999 right-aligned after NULs, and of ".00" .. ".99" then a NUL.  Built
+# from strings: integer arithmetic in numpy would map about 0.4 MB of its code that plotting never uses.
+_WHOLE = np.frombuffer("".join(["%4d" % i for i in range(1000)]).replace(" ", "\0").encode("ascii"), np.uint32)
+_CENTS = np.frombuffer("".join([".%02d\0" % i for i in range(100)]).encode("ascii"), np.uint32)
+
+
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _points(xy: np.ndarray) -> str:
+    """The points text of a polyline through the rows of xy: "%.2f,%.2f" per row, joined by spaces."""
+    with np.errstate(all="ignore"):
+        s = 100.0 * xy
+        q = np.rint(s)
+        exact = q.max() < 1e5 and not np.signbit(s).any() and (np.abs(s - q) + s * 2.0**-51).max() < 0.5
+    if not exact:
+        return " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+    whole, cents = np.divmod(q.astype(np.intp), 100)
+    words = np.empty(xy.shape + (2,), np.uint32)  # per coordinate: its whole part, then its cents
+    words[..., 0], words[..., 1] = _WHOLE.take(whole), _CENTS.take(cents)
+    text = words.view(np.uint8)
+    text[:, 0, 7], text[:, 1, 7] = ord(","), ord(" ")  # the NUL after each coordinate's cents
+    return text.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -> None:
@@ -83,8 +112,7 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
     )
     for idx, (name, ts) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        xy = np.column_stack((px(ts.t), py(ts.values)))
-        pts = " ".join(["%.2f,%.2f"] * len(ts)) % tuple(xy.ravel().tolist())
+        pts = _points(np.column_stack((px(ts.t), py(ts.values))))
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = top + 14 + idx * 18
         lines.append(f'<line x1="{right + 12}" y1="{ly}" x2="{right + 34}" y2="{ly}" stroke="{color}" stroke-width="2"/>')

@@ -11,6 +11,10 @@ steady-state value.  Two band conventions are supported:
 * ``"final"``: the band is steady_state * (1 +/- epsilon); the settling
   time is the last time the analytic step response leaves that band,
   located numerically.  Requires a stable model with nonzero steady state.
+  The sampling grid is scanned backwards in chunks, so memory stays bounded
+  whatever epsilon, and the last exit is bisected several levels per
+  evaluation, with the same midpoints and result as one midpoint at a time
+  (``_settle_final_band``).
 
 Responses to recorded inputs come from one routine, ``trapezoid_convolve``:
 exact block sums of exponential kernels, which identification uses too.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProductivityFunction, TimeSeries, resample, steady_state_gain, uniform_grid
+from .model import ProductivityFunction, TimeSeries, grid_count, resample, steady_state_gain, uniform_grid
 
 BAND_MODES = ("amplitude", "final")  # the first is the default
 
@@ -340,8 +344,25 @@ def settling_time(pf: ProductivityFunction, cfg: SettlingConfig = SettlingConfig
     return result
 
 
+# grid samples per chunk of the final-band scan, and bisection levels per evaluation
+_SCAN_CHUNK = 2048
+_BISECT_LEVELS = 6
+
+
 def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float | None) -> SettlingResult:
-    """Last band exit for the final-value convention, sampled then bisected."""
+    """Last band exit for the final-value convention, sampled then bisected.
+
+    The response is sampled on ``uniform_grid(0, horizon, step)``, scanned backwards in chunks of
+    ``_SCAN_CHUNK`` samples built as step * arange(start, stop), so that every sample equals the
+    grid's and memory stays O(chunk) however fine the grid.  The scan stops at the first chunk with
+    a sample outside the band.  That last out-of-band sample and the next one bracket the exit,
+    which is then bisected until hi - lo <= 1e-9 hi, ``_BISECT_LEVELS`` levels per evaluation: each
+    level puts 0.5 * (e[q] + e[q + 1]) between the edges e of the level before, so the edges hold
+    every midpoint the next levels can reach, formed as a one-midpoint-at-a-time loop forms them.
+    One ``step_values`` call evaluates them all, and the path through them is walked with the stop
+    test before each step.  np.exp of an element does not depend on the length of its array or its
+    place in it, so the result equals that loop's bit for bit.
+    """
     if ss is None:
         raise ValueError("final-value band needs a stable model")
     if ss == 0.0:
@@ -357,18 +378,36 @@ def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float 
     if not math.isfinite(horizon):
         raise ValueError("settling-time search horizon overflows; model values are out of range")
     step = ts_guess / 1e4
-    t = uniform_grid(0.0, horizon, step)
-    outside = np.abs(step_values(pf, t) - ss) > half
-    if not outside.any():
+    n = grid_count(0.0, horizon, step)
+
+    def outside(t: np.ndarray) -> np.ndarray:
+        return np.abs(step_values(pf, t) - ss) > half
+
+    for stop in range(n, 0, -_SCAN_CHUNK):
+        start = max(stop - _SCAN_CHUNK, 0)
+        hits = np.flatnonzero(outside(step * np.arange(start, stop)))
+        if len(hits):
+            break
+    else:
         return SettlingResult(0.0, ss, ss - half, ss + half, horizon)
-    k = int(np.flatnonzero(outside)[-1])
-    lo, hi = float(t[k]), float(t[min(k + 1, len(t) - 1)])
+    k = start + int(hits[-1])
+    lo, hi = step * k, step * min(k + 1, n - 1)  # the grid's samples: 0.0 + step * k is step * k
+    width = 1 << _BISECT_LEVELS
+    edges = np.empty(width + 1)
+    a = w = 0  # (lo, hi) is (e[a], e[a + w]) among the evaluated edges e, once w > 1
     while hi - lo > 1e-9 * max(hi, 1e-30):
-        mid = 0.5 * (lo + hi)
-        if abs(float(step_values(pf, np.array([mid]))[0]) - ss) > half:
-            lo = mid
-        else:
-            hi = mid
+        if w <= 1:
+            edges[0], edges[width] = lo, hi
+            s = width // 2
+            while s:
+                edges[s :: 2 * s] = 0.5 * (edges[: -s : 2 * s] + edges[2 * s :: 2 * s])
+                s //= 2
+            e, out = edges.tolist(), outside(edges).tolist()
+            a, w = 0, width
+        w //= 2
+        if out[a + w]:
+            a += w
+        lo, hi = e[a], e[a + w]
     return SettlingResult(hi, ss, ss - half, ss + half, horizon)
 
 

@@ -279,9 +279,12 @@ class TestReport:
         assert "spearman" not in capsys.readouterr().out
 
     def test_shipped_final_band_report(self, cases_dir, tmp_path):
-        out = tmp_path / "r.csv"
-        assert run_cli("report", "--cases", str(cases_dir), "--band", "final", "--out", str(out)) == 0
+        out, plot = tmp_path / "r.csv", tmp_path / "r.svg"
+        rc = run_cli("report", "--cases", str(cases_dir), "--band", "final", "--out", str(out), "--plot", str(plot))
+        assert rc == 0
         assert out.read_bytes() == (cases_dir.parent / "out" / "flow_table_final.csv").read_bytes()
+        # the plot horizons are 1.5 times the settling times, so the plot pins them at full precision
+        assert plot.read_bytes() == (cases_dir.parent / "out" / "step_responses_final.svg").read_bytes()
 
     def test_byte_order_mark_case_file_loads(self, tmp_path, capsys):
         case = tmp_path / "cases" / "c1"

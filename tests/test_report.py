@@ -237,6 +237,54 @@ class TestStepPlot:
         assert polyline_points(out.read_text()) == reference_points([("r", ts)])
 
 
+def per_point(xy: np.ndarray) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in xy.tolist())
+
+
+def ties_and_neighbours() -> np.ndarray:
+    """Exact decimal ties, decimal ties that are not exact in binary, and both neighbours of each."""
+    rng = np.random.default_rng(2)
+    near = (rng.integers(0, 100_000, 2000) + 0.5) / 100
+    return np.concatenate((rng.integers(0, 800_000, 2000) / 800, rng.integers(0, 200_000, 2000) * 0.005,
+                           near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPointsText:
+    coordinate = st.floats(0.0, 1000.0, exclude_max=True)
+
+    @given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=60))
+    def test_matches_per_point_format(self, points):
+        xy = np.array(points)
+        assert svgplot._points(xy) == per_point(xy)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_ties_and_their_neighbours(self, column):
+        values = ties_and_neighbours()
+        xy = np.full((len(values), 2), 321.09)
+        xy[:, column] = values
+        for point in np.split(xy, len(xy)):  # one value each, so that no other decides the path
+            assert svgplot._points(point) == per_point(point)
+
+    @pytest.mark.parametrize("values", [
+        [999.995, 3.0], [1000.0, 3.0], [3.0, 1e6], [-0.0, 3.0], [3.0, -0.004], [-5.0, -700.25],
+        [5e-324, 2.2250738585072014e-308], [1e-310, 0.0], [0.0, 999.994], [0.125, 0.375],
+    ])
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_edge_values(self, values, n):
+        xy = np.tile(values, (n, 1)) + np.array([[0.0, 0.0]] + [[100.0, 200.0]] * (n - 1))
+        assert svgplot._points(xy) == per_point(xy)
+
+    @pytest.mark.parametrize("odd", [0.125, np.nextafter(0.005, 0.0), 0.005, 999.995, 1000.0, -0.0, -0.004])
+    def test_near_ties_and_values_outside_the_tables_take_the_format_string(self, monkeypatch, odd):
+        rng = np.random.default_rng(11)
+        xy = rng.uniform(24.0, 660.0, (9, 2))
+        monkeypatch.setattr(svgplot, "_WHOLE", svgplot._WHOLE[::-1].copy())  # whole parts misspelt
+        assert svgplot._points(xy) != per_point(xy)
+        xy[4, 1] = odd
+        assert svgplot._points(xy) == per_point(xy)
+
+
 def test_ingested_class_matches_reported_variability(cases_dir):
     for case in table_cases(cases_dir):
         expected = "moderate" if case.name == "Case 2" else "low"

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from prodflow import (
     ChangeoverOverlapError,
@@ -35,7 +37,14 @@ from expected import (
     TS_CASE3,
     TS_CASE4,
 )
-from prodflow.transient import step_values, trapezoid_convolve
+from prodflow import transient
+from prodflow.model import parse_model, uniform_grid
+from prodflow.transient import _SCAN_CHUNK, _settle_final_band, step_values, trapezoid_convolve
+
+STABLE_CASE_MODELS = [
+    p for p in sorted((Path(__file__).resolve().parents[1] / "cases").glob("*/model*.txt"))
+    if steady_state_gain(parse_model(p.read_text())) is not None
+]
 
 
 def unit_step(horizon: float, dt: float) -> TimeSeries:
@@ -254,6 +263,101 @@ class TestSettlingTime:
             SettlingConfig(epsilon=1.0)
         with pytest.raises(ValueError):
             SettlingConfig(band_mode="tight")
+
+
+def one_step_final_band(pf, cfg, ss):
+    """The final-band settle on the whole grid, bisected one midpoint per step_values call."""
+    half = cfg.epsilon * abs(ss)
+    rate_min = min(m.decay_rate for m in pf.modes)
+    ts_guess = math.log(1.0 / cfg.epsilon) / rate_min
+    total_amp = sum(abs(m.gain / m.decay_rate) for m in pf.modes)
+    if total_amp <= half:
+        return SettlingResult(0.0, ss, ss - half, ss + half, 0.0)
+    horizon = 1.1 * max(math.log(total_amp / half) / rate_min, ts_guess)
+    t = uniform_grid(0.0, horizon, ts_guess / 1e4)
+    outside = np.abs(step_values(pf, t) - ss) > half
+    if not outside.any():
+        return SettlingResult(0.0, ss, ss - half, ss + half, horizon)
+    k = int(np.flatnonzero(outside)[-1])
+    lo, hi = float(t[k]), float(t[min(k + 1, len(t) - 1)])
+    while hi - lo > 1e-9 * max(hi, 1e-30):
+        mid = 0.5 * (lo + hi)
+        if abs(float(step_values(pf, np.array([mid]))[0]) - ss) > half:
+            lo = mid
+        else:
+            hi = mid
+    return SettlingResult(hi, ss, ss - half, ss + half, horizon)
+
+
+def assert_same_bits(got: SettlingResult, want: SettlingResult):
+    assert got == want
+    assert type(got.settling_time) is float and got.settling_time.hex() == want.settling_time.hex()
+
+
+EPSILONS = (0.001, 0.02, 0.3, 0.9)
+mode = st.builds(
+    ExponentialMode,
+    st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+    st.floats(0.01, 10.0),
+)
+
+
+class TestFinalBandSettle:
+    @given(
+        modes=st.lists(mode, min_size=1, max_size=3),
+        impulse=st.just(0.0) | st.floats(-2.0, 2.0),
+        epsilon=st.sampled_from(EPSILONS),
+    )
+    def test_matches_the_one_step_bisection_bit_for_bit(self, modes, impulse, epsilon):
+        pf = ProductivityFunction(impulse, tuple(modes))
+        ss = steady_state_gain(pf)
+        # a steady state far below the modes' amplitudes makes the grid long, not the test stronger
+        assume(abs(ss) >= 1e-3 * sum(abs(m.gain / m.decay_rate) for m in pf.modes))
+        cfg = SettlingConfig(epsilon, "final")
+        assert_same_bits(_settle_final_band(pf, cfg, ss), one_step_final_band(pf, cfg, ss))
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_last_exit_after_a_reentry_and_before_an_in_band_stretch(self, epsilon):
+        pf = ProductivityFunction(0.0, (ExponentialMode(-1.5, 0.4), ExponentialMode(3.0, 0.5), ExponentialMode(-2.5, 7.0)))
+        ss, cfg = steady_state_gain(pf), SettlingConfig(epsilon, "final")
+        want = one_step_final_band(pf, cfg, ss)
+        assert_same_bits(_settle_final_band(pf, cfg, ss), want)
+        if epsilon == 0.02:  # out, in, out again, then in for more than two scan chunks
+            t = uniform_grid(0.0, want.reached_within, math.log(1.0 / epsilon) / 0.4 / 1e4)
+            outside = np.abs(step_values(pf, t) - ss) > epsilon * ss
+            assert outside[0] and np.count_nonzero(np.diff(outside)) == 3
+            assert len(t) - 1 - np.flatnonzero(outside)[-1] > 2 * _SCAN_CHUNK
+
+    @pytest.mark.parametrize("path", STABLE_CASE_MODELS, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_cases_take_few_evaluations(self, path, monkeypatch):
+        pf = parse_model(path.read_text())
+        ss = steady_state_gain(pf)
+        calls = []
+
+        def counted(pf, t):
+            calls.append(len(t))
+            return step_values(pf, t)
+
+        monkeypatch.setattr(transient, "step_values", counted)
+        for epsilon in EPSILONS:
+            cfg = SettlingConfig(epsilon, "final")
+            calls.clear()
+            assert_same_bits(_settle_final_band(pf, cfg, ss), one_step_final_band(pf, cfg, ss))
+            assert max(calls, default=0) <= _SCAN_CHUNK
+            if epsilon == 0.02:
+                assert 1 <= len(calls) <= 8
+
+    def test_memory_is_bounded_on_a_fine_grid(self):
+        # about 8.5e7 grid samples: holding the grid would take 680 MB per array
+        pf = ProductivityFunction(0.0, (ExponentialMode(1000.0, 1.0), ExponentialMode(-1099.0, 1.1)))
+        tracemalloc.start()
+        try:
+            res = settling_time(pf, SettlingConfig(0.999, "final"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.settling_time == 6.237379522303385
+        assert peak < 8e6
 
 
 class TestReactionTime:
