@@ -242,7 +242,7 @@ def per_point(xy: np.ndarray) -> str:
 
 
 def ties_and_neighbours() -> np.ndarray:
-    """Exact decimal ties, decimal ties that are not exact in binary, and both neighbours of each."""
+    """Exact decimal ties k/800, ties k * 0.005 rounded to binary, and (k + 1/2)/100 with both its neighbours."""
     rng = np.random.default_rng(2)
     near = (rng.integers(0, 100_000, 2000) + 0.5) / 100
     return np.concatenate((rng.integers(0, 800_000, 2000) / 800, rng.integers(0, 200_000, 2000) * 0.005,
