@@ -394,7 +394,7 @@ def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float 
     lo, hi = step * k, step * min(k + 1, n - 1)  # the grid's samples: 0.0 + step * k is step * k
     width = 1 << _BISECT_LEVELS
     edges = np.empty(width + 1)
-    a = w = 0  # (lo, hi) is (e[a], e[a + w]) among the evaluated edges e, once w > 1
+    a = w = 0  # (lo, hi) is (e[a], e[a + w]) in the evaluated edges e; w <= 1 leaves no midpoint there
     while hi - lo > 1e-9 * max(hi, 1e-30):
         if w <= 1:
             edges[0], edges[width] = lo, hi
