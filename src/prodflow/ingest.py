@@ -15,22 +15,27 @@ Formats:
 Every input file, CSV, model file or ``case.txt``, is UTF-8 with or
 without a byte-order mark.  Undecodable bytes and csv syntax errors, such
 as a cell over csv's 131,072-character field limit, end in a one-line
-``CsvFormatError`` naming the file.  The CSV readers split rows with
+``CsvFormatError`` naming the file.  The CSV grammar is that of
 ``csv.reader``: comma-separated, cells optionally in double quotes (a
 quoted cell may span lines), LF, CRLF or CR line ends, blank lines
-skipped.  Each cell is parsed with Python's ``float``, so surrounding
-spaces, exponents and ``1_0`` are accepted; ``nan``, ``inf`` and values
-that overflow (``1e400``) are rejected.  An error names the file line on
-which the bad row starts.  ``write_run_csv`` writes CRLF line ends and
-each value as its shortest round-trip ``repr``.
+skipped.  Each cell is read as Python's ``float`` reads it, so
+surrounding spaces, exponents and ``1_0`` are accepted; ``nan``, ``inf``
+and values that overflow (``1e400``) are rejected.  A file with the exact
+header, LF or CRLF line ends and no quotes is parsed by ``np.loadtxt``,
+numpy's C reader, which rounds each cell as ``float`` does.  Every other
+file, and every file the C reader refuses, is read again by
+``csv.reader`` and ``float``, which give the same values or name the file
+line on which the first bad row starts.  ``write_run_csv`` writes CRLF
+line ends and each value as its shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,8 @@ from .report import CaseRecord
 from .spc import METRIC_COLUMNS, ProcessMetrics, classify_variability
 
 
-_ROWS = 1024  # csv records converted, or rows written, per block
+_ROWS = 1024  # rows written per block
+_CHUNK = 1 << 14  # characters split into lines per block for np.loadtxt
 
 
 class CsvFormatError(ValueError):
@@ -83,13 +89,55 @@ def load_model(path: str | Path) -> ProductivityFunction:
 def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> np.ndarray:
     """The numeric rows under the header as an (n, len(columns)) array.
 
-    With ``timestamps`` the first column must increase.  Rows are split by
-    ``csv.reader`` and converted ``_ROWS`` records at a time; the first bad
-    row in file order raises, naming the file line on which it starts.
+    With ``timestamps`` the first column must increase.  A file whose
+    header line is exactly the columns is parsed by ``np.loadtxt``, numpy's
+    C reader, which rounds each cell as ``float`` does but refuses some
+    cells that ``float`` reads.  Its table is returned only if every row
+    has the width, every value is finite and, with ``timestamps``, in
+    order.  Every other file, and every file the C reader refuses or
+    ``_checked_lines`` stops, is read again by ``_csv_table``, which
+    returns the same values or names the bad row.
     """
-    width = len(columns)
-    blocks = []
-    last = -math.inf if timestamps else None  # the previous row's timestamp
+    with _open_input(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file without rows
+        try:
+            if fh.readline().rstrip("\r\n") == ",".join(columns):
+                table = np.loadtxt(chain.from_iterable(_checked_lines(fh)), delimiter=",", comments=None, ndmin=2)
+                t = table[:, 0]
+                ordered = not timestamps or (t[1:] > t[:-1]).all()
+                if table.shape[1] == len(columns) and np.isfinite(table).all() and ordered:
+                    return table
+        except (ValueError, UserWarning):  # UnicodeDecodeError included: _csv_table reports what comes first
+            pass
+    return _csv_table(path, columns, timestamps)
+
+
+def _checked_lines(fh):
+    """The rest of ``fh`` split at LF, ``_CHUNK`` characters at a time, for ``np.loadtxt``.
+
+    Raises ValueError on a chunk with a character from 0x1c to 0x1f, which
+    numpy strips around a number and ``float`` does not, or on a full chunk
+    with no LF.  So every line that reaches numpy is shorter than
+    2 * ``_CHUNK``, and no cell reaches csv's field limit.  A quote or a
+    lone CR makes numpy refuse its line.
+    """
+    tail = ""
+    while chunk := fh.read(_CHUNK):
+        if any(c in chunk for c in "\x1c\x1d\x1e\x1f") or (len(chunk) == _CHUNK and "\n" not in chunk):
+            raise ValueError("a chunk the C reader may read differently from csv")
+        *lines, tail = (tail + chunk).split("\n")
+        yield lines
+    yield [tail]
+
+
+def _csv_table(path: str | Path, columns: tuple[str, ...], timestamps: bool) -> np.ndarray:
+    """``_read_table`` by ``csv.reader`` and ``float``, one row at a time.
+
+    The first bad row in file order raises, naming the file line on which
+    it starts.  Its first fault counts, in this order: width, a
+    non-numeric cell, a non-finite value, a timestamp out of order.
+    """
+    width, rows = len(columns), []
     with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -97,73 +145,23 @@ def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = F
             raise CsvFormatError("empty file", path)
         if [h.strip() for h in header] != list(columns):
             raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
-        record = 2  # csv record number of the block's first row; the header is 1
-        while block := list(islice(reader, _ROWS)):
-            kept = [i for i, row in enumerate(block) if len(row) > 1 or (row and row[0].strip())]
-            rows = block if len(kept) == len(block) else [block[i] for i in kept]
-            values, fault = _convert_block(rows, width, last)
-            if fault is not None:
-                i, message = fault
-                raise CsvFormatError(message, path, _line_of(path, record + kept[i]))
-            if len(values):
-                blocks.append(values)
-                if timestamps:
-                    last = values[-1, 0]
-            record += len(block)
-    return np.concatenate(blocks) if blocks else np.empty((0, width))
-
-
-def _convert_block(rows: list[list[str]], width: int, last: float | None):
-    """Parse non-blank rows into an array, up to the first bad row.
-
-    Returns the values and that row's ``(index, message)``, or None when
-    every row is good.  ``last`` is the timestamp before the block, or
-    None when the first column is no timestamp.
-    """
-    def parse(stop: int) -> np.ndarray:
-        return np.fromiter(map(float, chain.from_iterable(rows[:stop])), float, stop * width).reshape(stop, width)
-
-    stop, fault = len(rows), None
-    if set(map(len, rows)) - {width}:
-        stop = next(i for i, row in enumerate(rows) if len(row) != width)
-        fault = (stop, f"expected {width} fields, got {len(rows[stop])}")
-    try:
-        values = parse(stop)
-    except ValueError:
-        stop = next(i for i, row in enumerate(rows) if not _numeric(row))
-        fault = (stop, f"non-numeric field in {rows[stop]!r}")
-        values = parse(stop)
-    bad = ~np.isfinite(values).all(axis=1)
-    late = np.zeros(stop, dtype=bool)
-    if last is not None and stop:
-        t = values[:, 0]
-        late = ~(t > np.concatenate(([last], t[:-1])))
-    if (bad | late).any():
-        i = int(np.argmax(bad | late))  # a row can fail both; its non-finite value is reported first
-        if bad[i]:
-            fault = (i, f"non-finite value in {rows[i]!r}")
-        else:
-            fault = (i, f"timestamp {float(values[i, 0])!r} does not increase over the previous row")
-    return values, fault
-
-
-def _numeric(row: list[str]) -> bool:
-    try:
-        for cell in row:
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _line_of(path: str | Path, record: int) -> int:
-    """The file line on which csv record ``record`` (the header is 1) starts."""
-    line = 1
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, record - 1):
-            line = reader.line_num + 1
-    return line
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                raise CsvFormatError(f"expected {width} fields, got {len(row)}", path, line)
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise CsvFormatError(f"non-numeric field in {row!r}", path, line) from None
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"non-finite value in {row!r}", path, line)
+            if timestamps and rows and values[0] <= rows[-1][0]:
+                raise CsvFormatError(f"timestamp {values[0]!r} does not increase over the previous row", path, line)
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def ingest_run(path: str | Path, total_time: float | None = None) -> ProcessRun:

@@ -309,6 +309,23 @@ class TestReport:
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1
 
 
+class TestHeaderOnlyFiles:
+    @pytest.mark.parametrize("argv,header", [
+        (["fit", "--run", "{path}", "--out", "{path}.txt"], "t,u,y"),
+        (["metrics", "--sample", "{path}"], "y"),
+        (["chain", "--spec", "{path}", "--ca0", "1"], "u,ce"),
+    ])
+    def test_one_line_error_and_no_warning(self, tmp_path, capsys, argv, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*(a.format(path=path) for a in argv)) == 1
+        captured = capsys.readouterr()
+        assert caught == [] and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {path}: ")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,7 +59,12 @@ def reference_run_csv(path, t, u, y):
 
 
 _NUMBER = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-3, 3).map(str))
-_ODD = st.sampled_from(["nan", "-inf", "1e400", "x", "", " 2 ", "1_0", '"3"', '"4\n"', '" 5 "', '"6\r\n"', '"7,"'])
+# cells float reads and numpy's loadtxt refuses (1_0, Arabic-Indic one, quotes), numpy strips and
+# float does not (0x1c-0x1f), non-finite ones, and ones csv splits or joins across lines
+_ODD = st.sampled_from([
+    "nan", "-inf", "1e400", "x", "", " 2 ", "1_0", "\u0661", "\xa01\x85", "\x1c1", "1\x1f", "1\r2",
+    '"3"', '"  2"', '"4\n"', '" 5 "', '"6\r\n"', '"7,"', '""',
+])
 
 
 @st.composite
@@ -67,10 +73,11 @@ def csv_tables(draw):
     width = draw(st.integers(1, 3))
     columns = ("t", "u", "y")[:width]
     timestamps = draw(st.booleans())
-    lines = [draw(st.sampled_from(["", "\ufeff", " "])) + ",".join(columns)]
+    header = draw(st.sampled_from([columns] * 4 + [[f'"{c}"' for c in columns]]))
+    lines = [draw(st.sampled_from(["", "\ufeff", " "])) + ",".join(header)]
     t = 0
     for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["odd", "blank", "spaces", "short", "long"]))
+        kind = draw(st.sampled_from(["row"] * 12 + ["odd"] * 2 + ["blank", "spaces", "tab", "quoted", "short", "long"]))
         t += draw(st.sampled_from([1, 1, 1, 1, 0, -1]))
         cells = [repr(t * 0.5)] + [draw(_NUMBER) for _ in range(width - 1)]
         if kind == "odd":
@@ -79,8 +86,11 @@ def csv_tables(draw):
             cells = cells[:-1] if width > 1 else []
         elif kind == "long":
             cells.append("1")
-        lines.append({"blank": "", "spaces": "  "}.get(kind, ",".join(cells)))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        elif kind == "quoted":
+            cells = [f'"{c}"' for c in cells]
+        lines.append({"blank": "", "spaces": "  ", "tab": "\t\x0c"}.get(kind, ",".join(cells)))
+    ends = [draw(st.sampled_from(["\n"] * 5 + ["\r\n"] * 4 + ["\r"])) for _ in lines[1:]]
+    ends += [draw(st.sampled_from(["\n", "\r\n", ""]))]  # the last line may have no line end
     return "".join(a + b for a, b in zip(lines, ends)), columns, timestamps
 
 
@@ -148,11 +158,11 @@ class TestRunCsv:
 
 
 class TestBlocks:
-    """The block conversion against row-by-row references, with blocks of a few rows."""
+    """The C reader and its csv fallback against row-by-row references, with chunks of a few characters."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(table=csv_tables(), rows=st.integers(1, 4))
-    def test_read_table_matches_row_by_row(self, tmp_path_factory, table, rows):
+    @settings(max_examples=400, deadline=None)
+    @given(table=csv_tables(), chunk=st.sampled_from([3, 8, 1 << 14]))
+    def test_read_table_matches_row_by_row(self, tmp_path_factory, table, chunk):
         text, columns, timestamps = table
         p = tmp_path_factory.getbasetemp() / "table.csv"
         p.write_bytes(text.encode("utf-8"))
@@ -160,7 +170,7 @@ class TestBlocks:
             want = reference_table(p, columns, timestamps)
         except CsvFormatError as exc:
             want = exc
-        with mock.patch.object(ingest, "_ROWS", rows):
+        with mock.patch.object(ingest, "_CHUNK", chunk):
             try:
                 got = _read_table(p, columns, timestamps)
             except CsvFormatError as exc:
@@ -172,6 +182,31 @@ class TestBlocks:
             assert isinstance(got, np.ndarray), str(got)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cell,fault", [
+        ("\x1c1", "non-numeric field"), ("1\x1f", "non-numeric field"), ("1_0", None), ("\u0661", None), ('"  2"', None),
+        ("nan", "non-finite value"), ("-inf", "non-finite value"), ("1e400", "non-finite value"),
+    ])
+    def test_cells_the_readers_disagree_on(self, tmp_path, cell, fault):
+        # 0x1c-0x1f numpy strips and float does not; 1_0, Arabic-Indic one and quotes float reads and numpy refuses
+        p = tmp_path / "run.csv"
+        p.write_text(f"t,u,y\n0,1,0.5\n1,1,{cell}\n2,1,0.9\n")
+        if fault is None:
+            assert ingest_run(p).output.values.tolist() == [0.5, float(cell.strip('"')), 0.9]
+        else:
+            with pytest.raises(CsvFormatError, match=f"row 3: {fault} in"):
+                ingest_run(p)
+
+    @pytest.mark.parametrize("cell", ["0" * 200_000 + "1", " " * 140_000 + "1", "1." + "0" * 140_000, '"' + " \n" * 70_000 + '1"'],
+                             ids=["zeros", "spaces", "decimals", "quoted-lines"])
+    def test_finite_cell_over_the_field_limit_is_refused(self, tmp_path, cell):
+        # numpy parses each of these cells as a number, the last one only if it honoured quotes;
+        # csv refuses them, so the C reader must not answer
+        p = tmp_path / "run.csv"
+        p.write_text("t,u,y\n0,1,0.5\n1,1," + cell + "\n2,1,0.9\n")
+        with pytest.raises(CsvFormatError) as exc:
+            ingest_run(p)
+        assert str(exc.value) == f"{p}: field larger than field limit (131072)"
+
     @settings(deadline=None)
     @given(values=st.lists(st.tuples(*[st.floats(width=64)] * 3), max_size=12), rows=st.integers(1, 4))
     def test_run_csv_bytes_match_csv_writer(self, tmp_path_factory, values, rows):
@@ -181,6 +216,57 @@ class TestBlocks:
         with mock.patch.object(ingest, "_ROWS", rows):
             write_run_csv(base / "got.csv", t, u, y)
         assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+
+def _refuse_csv_fallback(*args):
+    raise AssertionError("read by the csv fallback")
+
+
+class TestCReader:
+    """Plain files are parsed by np.loadtxt: a later edit must not send them to the csv fallback."""
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_files_skip_the_csv_fallback(self, tmp_path, monkeypatch, bom, end):
+        monkeypatch.setattr(ingest, "_csv_table", _refuse_csv_fallback)
+        for name, rows in (("run", ["t,u,y", "0,1,0.5", "1,1,0.8", "", "2.5,1,-1e-3"]), ("sample", ["y", "9", "10", "11"]),
+                           ("chain", ["u,ce", "0.8,0.6", "0.5,0.6"]), ("metrics", ["cpk,pp,sigma_d,rate_d,cv", "1,1,0.3,4,0.2"])):
+            (tmp_path / f"{name}.csv").write_bytes((bom + end.join(rows) + end).encode("utf-8"))
+        assert list(ingest_run(tmp_path / "run.csv").output.values) == [0.5, 0.8, -1e-3]
+        assert list(read_sample_csv(tmp_path / "sample.csv")) == [9.0, 10.0, 11.0]
+        assert [(n.utilization, n.cv_effective) for n in read_chain_csv(tmp_path / "chain.csv")] == [(0.8, 0.6), (0.5, 0.6)]
+        assert read_metrics_csv(tmp_path / "metrics.csv").cv == 0.2
+
+    def test_written_run_of_many_chunks_skips_the_csv_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_csv_table", _refuse_csv_fallback)
+        t = np.arange(3000) * 0.1
+        u, y = np.ones_like(t), np.sin(t) / 3
+        write_run_csv(tmp_path / "run.csv", t, u, y)
+        assert (tmp_path / "run.csv").stat().st_size > 4 * ingest._CHUNK
+        run = ingest_run(tmp_path / "run.csv")
+        assert run.input.t.tobytes() == t.tobytes() and run.output.values.tobytes() == y.tobytes()
+
+    def test_peak_memory_of_a_long_run_is_near_its_table(self, tmp_path):
+        t = np.arange(50_001) * 0.004
+        write_run_csv(tmp_path / "run.csv", t, np.ones_like(t), np.exp(-t))
+        tracemalloc.start()
+        try:
+            table = _read_table(tmp_path / "run.csv", ("t", "u", "y"), timestamps=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (50_001, 3) and peak < 1.5 * table.nbytes
+
+    def test_undecodable_byte_past_the_first_megabyte_names_the_file(self, tmp_path):
+        p = tmp_path / "run.csv"
+        t = np.arange(40_000) * 0.5
+        write_run_csv(p, t, np.ones_like(t), np.cos(t))
+        data = p.read_bytes()
+        cut = data.index(b"\n", 1 << 20) + 1
+        p.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        with pytest.raises(CsvFormatError) as exc:
+            ingest_run(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text (invalid start byte)"
 
 
 class TestOtherReaders:
