@@ -20,10 +20,10 @@ as a cell over csv's 131,072-character field limit, end in a one-line
 quoted cell may span lines), LF, CRLF or CR line ends, blank lines
 skipped.  Each cell is read as Python's ``float`` reads it, so
 surrounding spaces, exponents and ``1_0`` are accepted; ``nan``, ``inf``
-and values that overflow (``1e400``) are rejected.  A file with the exact
-header, LF or CRLF line ends and no quotes is parsed by ``np.loadtxt``,
-numpy's C reader, which rounds each cell as ``float`` does.  Every other
-file, and every file the C reader refuses, is read again by
+and values that overflow (``1e400``) are rejected.  A seekable file with
+the exact header, LF or CRLF line ends and no quotes is parsed by
+``np.loadtxt``, numpy's C reader, which rounds each cell as ``float``
+does.  Every other file, and every file the C reader refuses, is read by
 ``csv.reader`` and ``float``, which give the same values or name the file
 line on which the first bad row starts.  ``write_run_csv`` writes CRLF
 line ends and each value as its shortest round-trip ``repr``.
@@ -89,27 +89,30 @@ def load_model(path: str | Path) -> ProductivityFunction:
 def _read_table(path: str | Path, columns: tuple[str, ...], timestamps: bool = False) -> np.ndarray:
     """The numeric rows under the header as an (n, len(columns)) array.
 
-    With ``timestamps`` the first column must increase.  A file whose
-    header line is exactly the columns is parsed by ``np.loadtxt``, numpy's
-    C reader, which rounds each cell as ``float`` does but refuses some
-    cells that ``float`` reads.  Its table is returned only if every row
-    has the width, every value is finite and, with ``timestamps``, in
+    With ``timestamps`` the first column must increase.  A seekable file
+    whose header line is exactly the columns is parsed by ``np.loadtxt``,
+    numpy's C reader, which rounds each cell as ``float`` does but refuses
+    some cells that ``float`` reads.  Its table is returned only if every
+    row has the width, every value is finite and, with ``timestamps``, in
     order.  Every other file, and every file the C reader refuses or
-    ``_checked_lines`` stops, is read again by ``_csv_table``, which
-    returns the same values or names the bad row.
+    ``_checked_lines`` stops, is read from its start by ``_csv_table``,
+    which returns the same values or names the bad row.
     """
-    with _open_input(path) as fh, warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file without rows
-        try:
-            if fh.readline().rstrip("\r\n") == ",".join(columns):
-                table = np.loadtxt(chain.from_iterable(_checked_lines(fh)), delimiter=",", comments=None, ndmin=2)
-                t = table[:, 0]
-                ordered = not timestamps or (t[1:] > t[:-1]).all()
-                if table.shape[1] == len(columns) and np.isfinite(table).all() and ordered:
-                    return table
-        except (ValueError, UserWarning):  # UnicodeDecodeError included: _csv_table reports what comes first
-            pass
-    return _csv_table(path, columns, timestamps)
+    with _open_input(path) as fh:
+        if fh.seekable():  # a pipe cannot be read twice
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file without rows
+                try:
+                    if fh.readline().rstrip("\r\n") == ",".join(columns):
+                        table = np.loadtxt(chain.from_iterable(_checked_lines(fh)), delimiter=",", comments=None, ndmin=2)
+                        t = table[:, 0]
+                        ordered = not timestamps or (t[1:] > t[:-1]).all()
+                        if table.shape[1] == len(columns) and np.isfinite(table).all() and ordered:
+                            return table
+                except (ValueError, UserWarning):  # UnicodeDecodeError included: _csv_table reports what comes first
+                    pass
+            fh.seek(0)
+        return _csv_table(fh, path, columns, timestamps)
 
 
 def _checked_lines(fh):
@@ -130,37 +133,36 @@ def _checked_lines(fh):
     yield [tail]
 
 
-def _csv_table(path: str | Path, columns: tuple[str, ...], timestamps: bool) -> np.ndarray:
-    """``_read_table`` by ``csv.reader`` and ``float``, one row at a time.
+def _csv_table(fh, path: str | Path, columns: tuple[str, ...], timestamps: bool) -> np.ndarray:
+    """``_read_table`` of the open file by ``csv.reader`` and ``float``, one row at a time.
 
     The first bad row in file order raises, naming the file line on which
     it starts.  Its first fault counts, in this order: width, a
     non-numeric cell, a non-finite value, a timestamp out of order.
     """
     width, rows = len(columns), []
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError("empty file", path)
-        if [h.strip() for h in header] != list(columns):
-            raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
-        start = reader.line_num + 1
-        for row in reader:
-            line, start = start, reader.line_num + 1
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise CsvFormatError(f"expected {width} fields, got {len(row)}", path, line)
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise CsvFormatError(f"non-numeric field in {row!r}", path, line) from None
-            if not all(map(math.isfinite, values)):
-                raise CsvFormatError(f"non-finite value in {row!r}", path, line)
-            if timestamps and rows and values[0] <= rows[-1][0]:
-                raise CsvFormatError(f"timestamp {values[0]!r} does not increase over the previous row", path, line)
-            rows.append(values)
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise CsvFormatError("empty file", path)
+    if [h.strip() for h in header] != list(columns):
+        raise CsvFormatError(f"header must be {','.join(columns)!r}", path, 1)
+    start = reader.line_num + 1
+    for row in reader:
+        line, start = start, reader.line_num + 1
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise CsvFormatError(f"expected {width} fields, got {len(row)}", path, line)
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise CsvFormatError(f"non-numeric field in {row!r}", path, line) from None
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError(f"non-finite value in {row!r}", path, line)
+        if timestamps and rows and values[0] <= rows[-1][0]:
+            raise CsvFormatError(f"timestamp {values[0]!r} does not increase over the previous row", path, line)
+        rows.append(values)
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 

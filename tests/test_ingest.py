@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -267,6 +268,29 @@ class TestCReader:
         with pytest.raises(CsvFormatError) as exc:
             ingest_run(p)
         assert str(exc.value) == f"{p}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipes:
+    """A pipe is read once, by the csv path: reading it again would find it drained."""
+
+    def read_through_pipe(self, text, reader=ingest_run):
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode("utf-8"))
+            os.close(w)
+            return reader(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+    def test_run_with_a_blank_line_of_spaces(self):
+        run = self.read_through_pipe("t,u,y\n0,1,0.5\n  \n1,1,0.8\n2,1,0.9\n")
+        assert list(run.output.values) == [0.5, 0.8, 0.9]
+
+    def test_bad_row_names_its_line(self):
+        with pytest.raises(CsvFormatError) as exc:
+            self.read_through_pipe("y\n1\n\n2\nx\n", read_sample_csv)
+        assert exc.value.row == 5 and "row 5: non-numeric field in ['x']" in str(exc.value)
 
 
 class TestOtherReaders:
