@@ -208,6 +208,13 @@ class TestBlocks:
             ingest_run(p)
         assert str(exc.value) == f"{p}: field larger than field limit (131072)"
 
+    def test_padded_header_over_the_field_limit_is_refused(self, tmp_path):
+        p = tmp_path / "run.csv"
+        p.write_text("t,u,y" + " " * 140_000 + "\n0,1,0.5\n1,1,0.8\n")
+        with pytest.raises(CsvFormatError) as exc:
+            ingest_run(p)
+        assert str(exc.value) == f"{p}: field larger than field limit (131072)"
+
     @settings(deadline=None)
     @given(values=st.lists(st.tuples(*[st.floats(width=64)] * 3), max_size=12), rows=st.integers(1, 4))
     def test_run_csv_bytes_match_csv_writer(self, tmp_path_factory, values, rows):
