@@ -23,11 +23,12 @@ Two estimators:
   residual is the refined projection's.  The search never holds them: a
   pass gives the candidates' norms, for the pair scan their Gram matrix,
   and their products with the order 0 fit's projection; each later order
-  takes one more pass for the previous fit's.  A pass without the Gram
-  matrix never forms the responses: ``transient.response_moments`` reads
-  the norms and products from block moments of the input in O(R n) time
-  for R candidates and n samples.  The Gram pass forms them in blocks of
-  L = 16 (``transient.response_groups``), O(R L n + R^2 n) once per fit.
+  takes one more pass for the previous fit's.  Every pass is one walk of
+  ``transient.response_moments``, which reads the norms and products from
+  block moments of the input in O(R n) time for R candidates and n
+  samples, the same with or without the Gram matrix.  Only the Gram pass
+  forms the responses, in blocks of L = 16 within the same walk,
+  O(R L n + R^2 n) once per fit; the other passes never form them.
   Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
   set's modes and log-rate derivatives from ``trapezoid_convolve``.  The
   fit runs on copies of the input and output
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, resample, uniform_grid
-from .transient import response_groups, response_moments, trapezoid_convolve
+from .model import ExponentialMode, ProcessRun, ProductivityFunction, TimeSeries, grid_count, resample, uniform_grid
+from .transient import response_moments, trapezoid_convolve
 
 # growing-mode candidates faster than exp(150) over the record overflow
 # normal equations well before they could ever be a sane fit
@@ -62,6 +63,8 @@ _SINGULAR_DET = 1e-10
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
 _MAX_LOG_STEP = 1.0
+# a non-uniform run is resampled onto at most this many times the samples of its longer series
+_MAX_RESAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,14 @@ def _common_grid(run: ProcessRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
         t, u, y, dt = inp.t.copy(), inp.values.copy(), out.values.copy(), float(din.mean())
     else:
         dt = float(min(np.median(din), np.median(dout)))
-        t = uniform_grid(max(inp.t[0], out.t[0]), min(inp.t[-1], out.t[-1]), dt)
+        t0, t1, longer = max(inp.t[0], out.t[0]), min(inp.t[-1], out.t[-1]), max(len(inp), len(out))
+        count = grid_count(t0, t1, dt)
+        if count > _MAX_RESAMPLE * longer:
+            raise ValueError(
+                f"resampling at step {dt!r} needs {count} samples, more than {_MAX_RESAMPLE} times "
+                f"the {longer} samples of the longer series"
+            )
+        t = uniform_grid(t0, t1, dt)
         if len(t) < 2:
             raise ValueError("input and output overlap on fewer than 2 samples")
         u, y = resample(inp, t), resample(out, t)
@@ -171,16 +181,16 @@ class Candidates:
     Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
     One pass over the record gives the responses' ``norms``, with ``gram`` the Gram matrix ``gram``
     = S S' (else None), and the ``products`` S V for the columns V given (else for none); ``dot``
-    gives S V for further columns in one more pass.  For R rates and n samples a pass without the
-    Gram matrix, ``dot`` included, never forms S and costs O(R n) time (``response_moments``).  The
-    Gram pass reduces the exact responses of ``response_groups`` one group of samples at a time, in
-    O(R L n + R^2 n) time for blocks of L = 16.  Either takes O(R L^2 + R^2) memory whatever n.
-    Rates without a response are dropped.
+    gives S V for further columns in one more pass.  Every pass is one walk of
+    ``response_moments``, which reads the norms and products from block moments of the input in
+    O(R n) time for R rates and n samples, the same with or without the Gram matrix.  The Gram pass
+    also forms each group's responses in that walk, in O(R L n + R^2 n) time for blocks of L = 16.
+    Either takes O(R L^2 + R^2) memory whatever n.  Rates without a response are dropped.
     """
 
     def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False, V: np.ndarray | None = None):
         V = np.empty((len(basis.u), 0)) if V is None else V
-        sq, G, SV = _block_pass(basis, rates, V, gram)
+        sq, G, SV = response_moments(rates, basis.u, basis.dt, V, gram)
         norms = np.sqrt(sq)
         keep = norms > 0
         if not keep.all():
@@ -194,32 +204,9 @@ class Candidates:
 
     def dot(self, V: np.ndarray) -> np.ndarray:
         """S V for the columns of V (n, k), in one more pass."""
-        SV = _block_pass(self.basis, self.rates, V, False)[2]
+        SV = response_moments(self.rates, self.basis.u, self.basis.dt, V)[2]
         SV /= self.norms[:, None]
         return SV
-
-
-def _block_pass(basis: ModeBasis, rates: np.ndarray, V: np.ndarray, gram: bool):
-    """(squared norms, S S' or None, S V) of the candidates' responses S before normalising.
-
-    Without ``gram`` they come from ``response_moments``, which never forms S.  With it each
-    group's responses stay in ``response_groups``' [rate, j, m] layout, for the sample
-    lo + m L + j; the sums over its samples run in that order.
-    """
-    if not gram:
-        sq, SV = response_moments(rates, basis.u, basis.dt, V)
-        return sq, None, SV
-    R, k = len(rates), V.shape[1]
-    sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R))
-    for lo, b, S in response_groups(rates, basis.u, basis.dt):
-        L, nb = S.shape[1:]
-        vb = np.zeros((nb * L, k))  # the group's columns, zero past the record's end
-        vb[:b] = V[lo : lo + b]
-        S = S.reshape(R, L * nb)
-        sq += np.einsum("ij,ij->i", S, S)
-        SV += S @ vb.reshape(nb, L, k).transpose(1, 0, 2).reshape(L * nb, k)
-        G += S @ S.T
-    return sq, G, SV
 
 
 @dataclass(frozen=True)

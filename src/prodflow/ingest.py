@@ -166,14 +166,13 @@ def _csv_table(fh, path: str | Path, columns: tuple[str, ...], timestamps: bool)
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
-def ingest_run(path: str | Path, total_time: float | None = None) -> ProcessRun:
-    """Read a t,u,y run; total_time defaults to the last timestamp."""
+def ingest_run(path: str | Path) -> ProcessRun:
+    """Read a t,u,y run."""
     table = _read_table(path, ("t", "u", "y"), timestamps=True)
     if len(table) < 2:
         raise CsvFormatError("a run needs at least 2 samples", path)
     t, u, y = table.T
-    tt = total_time if total_time is not None else float(t[-1])
-    return ProcessRun(TimeSeries(t, u), TimeSeries(t, y), tt)
+    return ProcessRun(TimeSeries(t, u), TimeSeries(t, y))
 
 
 def write_run_csv(path: str | Path, t, u, y) -> None:

@@ -99,24 +99,13 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def span(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
 
 @dataclass(frozen=True)
 class ProcessRun:
-    """A recorded run: input and output series plus the total process time."""
+    """A recorded run: input and output series."""
 
     input: TimeSeries
     output: TimeSeries
-    total_time: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.total_time) and self.total_time > 0):
-            raise ValueError(f"total_time must be positive, got {self.total_time!r}")
-        if self.total_time < self.input.t[-1]:
-            raise ValueError("total_time must cover the last input timestamp")
 
 
 def grid_count(t0: float, t1: float, dt: float) -> int:

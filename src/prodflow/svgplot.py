@@ -12,6 +12,7 @@ negative, -0.0, not finite or rounds to 1000.00 or more, is formatted by
 
 from __future__ import annotations
 
+import html
 import math
 import sys
 from pathlib import Path
@@ -30,10 +31,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#
 # from strings: integer arithmetic in numpy would map about 0.4 MB of its code that plotting never uses.
 _WHOLE = np.frombuffer("".join(["%4d" % i for i in range(1000)]).replace(" ", "\0").encode("ascii"), np.uint32)
 _CENTS = np.frombuffer("".join([".%02d\0" % i for i in range(100)]).encode("ascii"), np.uint32)
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _points(xy: np.ndarray) -> str:
@@ -118,7 +115,7 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
         lines.append(f'<line x1="{right + 12}" y1="{ly}" x2="{right + 34}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         lines.append(
             f'<text x="{right + 40}" y="{ly + 4}" text-anchor="start" font-size="12" '
-            f'font-family="sans-serif">{_escape(name)}</text>'
+            f'font-family="sans-serif">{html.escape(name, quote=False)}</text>'
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

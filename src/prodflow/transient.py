@@ -18,8 +18,10 @@ steady-state value.  Two band conventions are supported:
 
 Responses to recorded inputs come from one routine, ``trapezoid_convolve``:
 exact block sums of exponential kernels, which identification uses too.
-The search's norms and products of responses come from ``response_moments``
-without forming them, from the same block matrices (``_block_kernels``).
+Every pass of the search is one walk of ``response_moments`` over the same
+block matrices (``_block_kernels``).  It reads the norms and products of
+responses from moments of the input without forming them; only for the
+Gram matrix does the walk form each group's responses as well.
 """
 
 from __future__ import annotations
@@ -215,12 +217,12 @@ def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bo
         yield lo, b, S.reshape(k * R, L, nb)
 
 
-def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray):
-    """(squared norms, S V) of the trapezoid-rule responses S of the kernels exp(-rate * tau) to ``u``.
+def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray, gram: bool = False):
+    """(squared norms, S S' or None, S V) of the trapezoid-rule responses S of exp(-rate * tau) to ``u``.
 
-    The same responses as ``response_groups``', read from moments of the input without forming S.
-    With blocks x_m of L samples of dt * u (the first halved), c[m - 1] the full sum carried into
-    block m, T the rate's Toeplitz matrix and h[j] = a^(j + 1) (``_block_kernels``), block m's
+    The same responses as ``response_groups``', with the norms and products read from moments of the
+    input.  With blocks x_m of L samples of dt * u (the first halved), c[m - 1] the full sum carried
+    into block m, T the rate's Toeplitz matrix and h[j] = a^(j + 1) (``_block_kernels``), block m's
     response is s_m = T x_m + c[m - 1] h.  So, summed over the blocks between the record's first
     and last,
       |s|^2 = <T'T, X> + 2 (T'h) . sum_m c[m - 1] x_m + |h|^2 sum_m c[m - 1]^2,  X = sum_m x_m x_m',
@@ -229,12 +231,15 @@ def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray)
     t = 0 is 0) and the last (its response is 0 past the record's end) are formed explicitly.
     Along the record each rate takes only its block-end sums and their carry, in groups of blocks
     as in ``response_groups``: O(R n (k + 3)) time for R rates and k columns of V, and
-    O(R L^2 + R M^2) memory for M blocks per group, whatever n.
+    O(R L^2 + R M^2) memory for M blocks per group, whatever n.  With ``gram`` the same walk forms
+    each group's responses s_m, in one reused buffer of R M L values, and adds their products to
+    the Gram matrix S S': O(R L n + R^2 n) more time and O(R M L + R^2) more memory.  The norms and
+    products do not depend on ``gram``.
     """
     R, n, k = len(rates), len(u), V.shape[1]
-    sq, SV = np.zeros(R), np.zeros((R, k))
+    sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R)) if gram else None
     if not R:
-        return sq, SV
+        return sq, G, SV
     L, M = _group_size(n, R)
     _, heads, toep, carry = _block_kernels(rates, dt, L, M)
     toep, carry, h = toep[0], carry[0], heads[:, 1:]
@@ -244,6 +249,7 @@ def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray)
     XZ = np.zeros((L * (1 + k), L))  # sum_m z_m x_m'
     CZ, cc = np.zeros((R, L * (1 + k))), np.zeros(R)  # sum_m c[m - 1] z_m, sum_m c[m - 1]^2
     ends = np.zeros((R, M + 1))  # the sum before the group, then each block's own at its end
+    buf = np.empty(R * L * M) if gram else None  # a group's responses, S[i, j, m] at sample lo + m L + j
     for lo in range(0, n, M * L):
         b = min(M * L, n - lo)
         nb = -(-b // L)
@@ -254,6 +260,15 @@ def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray)
         into = _carry_into(carry, ends, nb)
         ends[:, 0] = into[:, nb]
         first, last = lo == 0, lo + b == n
+        if gram:
+            S = np.matmul(toep.reshape(R * L, L), Z[:nb, :L].T, out=buf[: R * L * nb].reshape(R * L, nb))
+            S = S.reshape(R, L, nb)
+            S += h[:, :, None] * into[:, None, :nb]
+            if first:
+                S[:, 0, 0] = 0.0
+            S[:, b - (nb - 1) * L :, -1] = 0.0
+            S = S.reshape(R, L * nb)
+            G += S @ S.T
         edges = {0} if first else set()  # the record's first and last blocks, formed explicitly
         if last:
             edges.add(nb - 1)
@@ -273,7 +288,7 @@ def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray)
     sq += np.einsum("ij,ij->i", h, h) * cc
     P = XZ[L:].reshape(L, k, L).transpose(1, 0, 2).reshape(k, L * L)  # sum_m v_m x_m' per column
     SV += toep.reshape(R, L * L) @ P.T + np.einsum("ij,ijk->ik", h, CZ[:, L:].reshape(R, L, k))
-    return sq, SV
+    return sq, G, SV
 
 
 def trapezoid_convolve(rates, u: np.ndarray, dt: float, derivatives: bool = False) -> np.ndarray:

@@ -182,7 +182,7 @@ def _synthetic_run(pf, noise=0.0, seed=0):
     if noise:
         rng = np.random.default_rng(seed)
         y = y + noise * np.abs(y).max() * rng.standard_normal(len(y))
-    return ProcessRun(TimeSeries(resp.t, np.ones(len(resp))), TimeSeries(resp.t, y), float(resp.t[-1]))
+    return ProcessRun(TimeSeries(resp.t, np.ones(len(resp))), TimeSeries(resp.t, y))
 
 
 def test_criterion_7_identification_recovery(cases):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shutil
+import time
 import warnings
 
 import pytest
@@ -243,6 +244,28 @@ class TestFit:
         captured = capsys.readouterr()
         assert captured.out == "" and not (tmp_path / "fit.txt").exists()
         assert len(captured.err.splitlines()) == 1 and "gains overflow" in captured.err
+
+    def test_a_run_ending_at_zero_fits_as_the_same_rows_from_zero(self, tmp_path, capsys):
+        # the fit reads only t - t[0], so the two files give the same model, byte for byte
+        values = [(1.0, 0.5), (1.0, 0.8), (1.0, 0.9), (1.0, 0.95)]
+        written = []
+        for name, t0 in (("ending", -3), ("starting", 0)):
+            run_csv = tmp_path / f"{name}.csv"
+            run_csv.write_text("t,u,y\n" + "".join(f"{t0 + i},{u},{y}\n" for i, (u, y) in enumerate(values)))
+            assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / f"{name}.txt")) == 0
+            written.append((capsys.readouterr().out, (tmp_path / f"{name}.txt").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_a_resampled_grid_past_four_times_the_rows_is_user_error(self, tmp_path, capsys):
+        # 4 rows with one long gap: resampling at the median step would take 2,000,001 samples
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0,1,0.5\n0.0005,1,0.6\n0.001,1,0.7\n1000,1,0.9\n")
+        start = time.perf_counter()
+        assert run_cli("fit", "--run", str(run_csv), "--max-modes", "1", "--out", str(tmp_path / "fit.txt")) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fit.txt").exists()
+        assert len(captured.err.splitlines()) == 1 and "2000001 samples" in captured.err and " 4 samples" in captured.err
 
 
 class TestReport:

@@ -39,7 +39,7 @@ def step_run(pf, horizon, dt, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)
         y = y + noise * np.abs(y).max() * rng.standard_normal(len(y))
     u = TimeSeries(resp.t, np.ones(len(resp)))
-    return ProcessRun(u, TimeSeries(resp.t, y), float(resp.t[-1]))
+    return ProcessRun(u, TimeSeries(resp.t, y))
 
 
 class TestFdp:
@@ -47,7 +47,7 @@ class TestFdp:
         t = np.linspace(0, 10, 50)
         u = TimeSeries(t, np.sin(t) + 2.0)
         y = TimeSeries(t, 2.0 * u.values)
-        fit = fit_fdp(ProcessRun(u, y, 10.0))
+        fit = fit_fdp(ProcessRun(u, y))
         assert fit.alpha == pytest.approx(2.0, rel=1e-12)
         assert fit.gof == 1.0
 
@@ -56,7 +56,7 @@ class TestFdp:
         # alpha = sum(u(u+1))/sum(u^2) = 2, gof = 1 - sqrt(2) by hand
         t = np.arange(100.0)
         u = np.concatenate([np.zeros(50), np.ones(50)])
-        run = ProcessRun(TimeSeries(t, u), TimeSeries(t, u + 1.0), 99.0)
+        run = ProcessRun(TimeSeries(t, u), TimeSeries(t, u + 1.0))
         fit = fit_fdp(run)
         assert fit.alpha == pytest.approx(2.0, rel=1e-12)
         assert fit.gof == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-12)
@@ -64,7 +64,7 @@ class TestFdp:
 
     def test_zero_input_rejected(self):
         t = np.linspace(0, 5, 20)
-        run = ProcessRun(TimeSeries(t, np.zeros(20)), TimeSeries(t, np.ones(20)), 5.0)
+        run = ProcessRun(TimeSeries(t, np.zeros(20)), TimeSeries(t, np.ones(20)))
         with pytest.raises(ValueError, match="zero"):
             fit_fdp(run)
 
@@ -74,9 +74,9 @@ class TestFdp:
         t = np.linspace(0, 10, 40)
         u = np.sin(t) + 2.0
         y = 1.7 * u + 0.3
-        base = fit_fdp(ProcessRun(TimeSeries(t, u), TimeSeries(t, y), 10.0))
-        scaled_y = fit_fdp(ProcessRun(TimeSeries(t, u), TimeSeries(t, ky * y), 10.0))
-        scaled_u = fit_fdp(ProcessRun(TimeSeries(t, ku * u), TimeSeries(t, y), 10.0))
+        base = fit_fdp(ProcessRun(TimeSeries(t, u), TimeSeries(t, y)))
+        scaled_y = fit_fdp(ProcessRun(TimeSeries(t, u), TimeSeries(t, ky * y)))
+        scaled_u = fit_fdp(ProcessRun(TimeSeries(t, ku * u), TimeSeries(t, y)))
         assert scaled_y.alpha == pytest.approx(ky * base.alpha, rel=1e-9)
         assert scaled_u.alpha == pytest.approx(base.alpha / ku, rel=1e-9)
 
@@ -144,7 +144,7 @@ class TestFitProductivity:
         t = np.arange(0.0, 10.0, 0.1)
         u = TimeSeries(t, np.ones(len(t)))
         y = TimeSeries(t, np.full(len(t), 1.699))
-        result = fit_productivity(ProcessRun(u, y, 10.0), CHEAP)
+        result = fit_productivity(ProcessRun(u, y), CHEAP)
         assert result.model.modes == ()
         assert result.model.impulse_gain == pytest.approx(1.699, rel=1e-12)
         assert result.gof == 1.0
@@ -182,7 +182,7 @@ class TestFitProductivity:
 
     def test_zero_output_rejected(self):
         t = np.arange(0.0, 5.0, 0.1)
-        run = ProcessRun(TimeSeries(t, np.ones(len(t))), TimeSeries(t, np.zeros(len(t))), 5.0)
+        run = ProcessRun(TimeSeries(t, np.ones(len(t))), TimeSeries(t, np.zeros(len(t))))
         with pytest.raises(ValueError, match="zero"):
             fit_productivity(run, CHEAP)
 
@@ -201,7 +201,7 @@ class TestFitProductivity:
         t = np.arange(0.0, 10.0 + 1e-9, 0.05)
         ramp = TimeSeries(t, 0.3 * t)
         y = simulate_response(P1, ramp, 0.05)
-        run = ProcessRun(ramp, y, 10.0)
+        run = ProcessRun(ramp, y)
         result = fit_productivity(run, CHEAP)
         mode = result.model.modes[0]
         assert mode.decay_rate == pytest.approx(0.8369, rel=0.02)
@@ -225,7 +225,7 @@ class TestFitProductivity:
         rng = np.random.default_rng(seed)
         t = 0.0867 * np.arange(76)
         u = np.where(t == 0.0, 1.0, 0.0)
-        run = ProcessRun(TimeSeries(t, u), TimeSeries(t, rng.standard_normal(76)), 7.0)
+        run = ProcessRun(TimeSeries(t, u), TimeSeries(t, rng.standard_normal(76)))
         result = fit_productivity(run, FitConfig(points_per_decade=6))
         assert result.gof >= fit_fdp(run).gof - 1e-12
 
@@ -249,7 +249,6 @@ class TestFitProductivity:
         run = ProcessRun(
             TimeSeries(t_in, np.ones(len(t_in))),
             TimeSeries(t_out, step_response(P1, 10.0, 0.15).values),
-            10.0,
         )
         baseline = fit_fdp(run)
         assert math.isfinite(baseline.alpha) and baseline.gof <= 1.0
@@ -373,6 +372,35 @@ class TestModeBasis:
         assert np.abs(cands.products - S @ V).max() < 1e-12
         assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
 
+    def test_the_gram_pass_forms_its_responses_in_the_moment_walk(self, monkeypatch):
+        import prodflow.identify
+        import prodflow.transient
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Gram pass took the responses from response_groups")
+
+        monkeypatch.setattr(prodflow.transient, "response_groups", refuse)
+        monkeypatch.setattr(prodflow.identify, "response_groups", refuse, raising=False)
+        basis = self.basis()
+        V = np.random.default_rng(8).standard_normal((700, 3))
+        raw = recursion_responses(basis, self.RATES)
+        S = raw / np.linalg.norm(raw, axis=1)[:, None]
+        cands = Candidates(basis, self.RATES, gram=True, V=V)
+        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
+        assert np.abs(cands.gram - S @ S.T).max() < 1e-12
+        assert np.abs(cands.products - S @ V).max() < 1e-12
+        assert np.abs(cands.dot(V) - S @ V).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 17, 700, 3001])
+    def test_norms_and_products_do_not_depend_on_the_gram_matrix(self, n):
+        tau = 0.05 * np.arange(n)
+        basis = ModeBasis(tau, 1.0 + 0.5 * np.sin(0.3 * tau), 0.05)
+        V = np.random.default_rng(n).standard_normal((n, 2))
+        with_gram, without = Candidates(basis, self.RATES, True, V), Candidates(basis, self.RATES, False, V)
+        assert with_gram.norms.tobytes() == without.norms.tobytes()
+        assert with_gram.products.tobytes() == without.products.tobytes()
+        assert with_gram.dot(V).tobytes() == without.dot(V).tobytes()
+
     @pytest.mark.parametrize("n", [3, 16, 17, 700, 3001])
     def test_signed_input_matches_a_long_double_recursion(self, n):
         # n < 16, one block, a one-sample last block and several groups of blocks; the input
@@ -390,10 +418,12 @@ class TestModeBasis:
             z = a * z + x
             S[:, i] = ld(dt) * (z - ld(0.5) * (x + np.exp(-rates.astype(ld) * ld(tau[i])) * ld(u[0])))
         norms = np.sqrt((S * S).sum(axis=1))
+        S /= norms[:, None]
         V = rng.standard_normal((n, 2))
-        expected = (S / norms[:, None] @ V.astype(ld)).astype(float)
-        cands = Candidates(ModeBasis(tau, u, dt), rates, V=V)
+        expected = (S @ V.astype(ld)).astype(float)
+        cands = Candidates(ModeBasis(tau, u, dt), rates, gram=True, V=V)
         assert cands.norms == pytest.approx(norms.astype(float), rel=1e-13, abs=0.0)
+        assert np.abs(cands.gram - (S @ S.T).astype(float)).max() < 1e-13
         assert np.abs(cands.products - expected).max() < 1e-13
         assert np.abs(cands.dot(V) - expected).max() < 1e-13
 
@@ -520,7 +550,7 @@ class TestGridScan:
         # one more refines to gof 0.82 only; the best pair reaches the truth
         pf = ProductivityFunction(0.0, (ExponentialMode(1.0, 0.3), ExponentialMode(-2.0, 0.5)))
         basis, y = mode_record(pf, 0.1, 200)
-        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y), float(basis.tau[-1]))
+        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y))
         fit = fit_productivity(run, CHEAP)
         assert [m.decay_rate for m in fit.model.modes] == pytest.approx([0.3, 0.5], rel=1e-8)
         assert fit.gof == pytest.approx(1.0, abs=1e-9)
@@ -530,7 +560,7 @@ class TestGridScan:
             0.4, (ExponentialMode(0.8, 0.08), ExponentialMode(1.0, 0.6), ExponentialMode(-0.5, 4.0))
         )
         basis, y = mode_record(pf, 0.05, 400)
-        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y), float(basis.tau[-1]))
+        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y))
         model = fit_productivity(run, FitConfig(max_modes=3)).model
         assert [m.decay_rate for m in model.modes] == pytest.approx([0.08, 0.6, 4.0], rel=1e-9)
         assert [m.gain for m in model.modes] == pytest.approx([0.8, 1.0, -0.5], rel=1e-9)

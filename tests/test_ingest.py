@@ -101,13 +101,7 @@ class TestRunCsv:
         p.write_text("t,u,y\n0,1,0.5\n1,1,0.8\n2,1,0.9\n")
         run = ingest_run(p)
         assert len(run.input) == 3
-        assert run.total_time == 2.0
         assert list(run.output.values) == [0.5, 0.8, 0.9]
-
-    def test_explicit_total_time(self, tmp_path):
-        p = tmp_path / "run.csv"
-        p.write_text("t,u,y\n0,1,0.5\n1,1,0.8\n")
-        assert ingest_run(p, total_time=30.0).total_time == 30.0
 
     def test_duplicate_timestamp_names_row(self, tmp_path):
         p = tmp_path / "run.csv"

@@ -170,13 +170,3 @@ class TestTypeInvariants:
         ts = TimeSeries([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
-
-    def test_run_total_time_covers_input(self):
-        from prodflow import ProcessRun
-
-        series = TimeSeries([0.0, 5.0], [1.0, 1.0])
-        assert ProcessRun(series, series, 5.0).total_time == 5.0
-        with pytest.raises(ValueError):
-            ProcessRun(series, series, 4.0)
-        with pytest.raises(ValueError):
-            ProcessRun(series, series, 0.0)
