@@ -12,7 +12,6 @@ negative, -0.0, not finite or rounds to 1000.00 or more, is formatted by
 
 from __future__ import annotations
 
-import html
 import math
 import sys
 from pathlib import Path
@@ -115,7 +114,7 @@ def emit_step_plot(curves: Sequence[tuple[str, TimeSeries]], path: str | Path) -
         lines.append(f'<line x1="{right + 12}" y1="{ly}" x2="{right + 34}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         lines.append(
             f'<text x="{right + 40}" y="{ly + 4}" text-anchor="start" font-size="12" '
-            f'font-family="sans-serif">{html.escape(name, quote=False)}</text>'
+            f'font-family="sans-serif">{name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>'
         )
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -18,10 +18,11 @@ steady-state value.  Two band conventions are supported:
 
 Responses to recorded inputs come from one routine, ``trapezoid_convolve``:
 exact block sums of exponential kernels, which identification uses too.
-Every pass of the search is one walk of ``response_moments`` over the same
-block matrices (``_block_kernels``).  It reads the norms and products of
+Every pass of the search is one call of ``response_moments``.  Both routines
+walk the same groups of blocks (``_walk``) under the same block matrices
+(``_block_kernels``).  ``response_moments`` reads the norms and products of
 responses from moments of the input without forming them; only for the
-Gram matrix does the walk form each group's responses as well.
+Gram matrix does its walk form each group's responses as well.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     return TimeSeries(t, y)
 
 
-# samples per block, and blocks per group at the least, of ``response_groups`` and ``response_moments``
+# samples per block, and blocks per group at the least: the groups that both routines walk (``_walk``)
 _BLOCK = 16
 _CARRY = 1 << 16  # values in a group's carry matrices: few rates take more blocks per group
 
@@ -127,22 +128,19 @@ def _toeplitz(heads: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
     return np.ndarray(shape, padded.dtype, padded, (m - 1) * step, strides).copy()
 
 
-def _group_size(n: int, R: int, k: int = 1) -> tuple[int, int]:
-    """(L, M): samples per block and blocks per group for R rates with k carried sums each."""
-    L = min(_BLOCK, n)
-    return L, min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * R))))
-
-
-def _block_kernels(rates: np.ndarray, dt: float, L: int, M: int, derivatives: bool = False):
+def _block_kernels(rates: np.ndarray, dt: float, n: int, derivatives: bool = False):
     """(tau, heads, toep, carry): the trapezoid-rule block matrices of the kernels exp(-rate * tau).
 
-    tau = dt * (0 .. L) and heads[i, j] = a^j = exp(-rates[i] * tau[j]), from exp, never from powers
-    of a rounded a.  toep[0, i] is rate i's L x L Toeplitz matrix of the heads a^(j - q) with 1/2 on
-    its diagonal, the trapezoid weights of a block, and carry[0, i] the M x M Toeplitz matrix of the
-    block factors, carry[0, i, m, p] = a^(L (m - p + 1)) = exp(-rates[i] * L dt (m - p + 1)) for
-    p <= m.  With ``derivatives`` toep[1] and carry[1] follow for the kernels tau * exp(-rate * tau).
+    A block is L = min(16, n) samples of the n and a group M blocks: 16, or more while few rates keep
+    the carry matrices within ``_CARRY`` values, and no more than the record takes.  tau = dt * (0 ..
+    L) and heads[i, j] = a^j = exp(-rates[i] * tau[j]), from exp, never from powers of a rounded a.
+    toep[0, i] is rate i's L x L Toeplitz matrix of the heads a^(j - q) with 1/2 on its diagonal, the
+    trapezoid weights of a block, and carry[0, i] the M x M Toeplitz matrix of the block factors,
+    carry[0, i, m, p] = a^(L (m - p + 1)) = exp(-rates[i] * L dt (m - p + 1)) for p <= m.  With
+    ``derivatives`` toep[1] and carry[1] follow for the kernels tau * exp(-rate * tau).
     """
-    k = 2 if derivatives else 1
+    k, L = 2 if derivatives else 1, min(_BLOCK, n)
+    M = min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * len(rates)))))
     tau, tau_blocks = dt * np.arange(L + 1), (L * dt) * np.arange(M + 1)
     heads = np.exp(np.multiply.outer(-rates, tau))
     factors = np.exp(np.multiply.outer(-rates, tau_blocks))
@@ -153,120 +151,96 @@ def _block_kernels(rates: np.ndarray, dt: float, L: int, M: int, derivatives: bo
     return tau, heads, toep, carry
 
 
-def _block_inputs(u: np.ndarray, dt: float, lo: int, b: int, out: np.ndarray) -> np.ndarray:
-    """The samples lo .. lo + b - 1 of dt * u, the first of the record halved, zero-padded in ``out``."""
-    out[:b], out[b:] = u[lo : lo + b] * dt, 0.0
-    if lo == 0:
-        out[0] *= 0.5
-    return out
+def _walk(u: np.ndarray, dt: float, kernels, form: bool):
+    """The groups of blocks of ``u`` under the ``_block_kernels`` ``kernels``, and with ``form`` their responses.
 
+    Yields (lo, b, X, into, S) for each group of samples lo .. lo + b - 1.  Row m of X is block m's
+    L samples of dt * u, the first of the record halved, zero past its end.  into[0, i, m] is rate
+    i's full sum c[p] = sum_q a^(p - q) x[q] at the sample p = lo + m L - 1 before block m, and
+    into[..., nb] the one at the group's end; with derivatives into[1] holds the sums of the kernels
+    tau * exp(-rate * tau).  With ``form`` S[i, j, m] is row i's response at sample lo + m L + j,
+    the derivative rows after the rates', zero at t = 0 and past the record's end; else S is None.
+    All three are overwritten by the next group.
 
-def _carry_into(carry: np.ndarray, ends: np.ndarray, nb: int) -> np.ndarray:
-    """into[..., m]: the full sum carried into block m of a group, and past it for m = nb.
-
-    ends[..., 0] is the sum carried into the group and ends[..., m + 1] block m's own sum at its end.
-    """
-    into = ends[..., : nb + 1].copy()
-    into[..., 1:] += np.matmul(carry[..., :nb, :nb], ends[..., :nb, None])[..., 0]
-    return into
-
-
-def response_groups(rates: np.ndarray, u: np.ndarray, dt: float, derivatives: bool = False):
-    """The trapezoid-rule responses to ``u`` of the kernels exp(-rate * tau), tau = 0, dt, 2 dt, ...
-
-    Yields (lo, b, S) for each group of samples lo .. lo + b - 1, with S[i, j, m] the response of
-    rate i at sample lo + m L + j, zero past the record's end.  S is overwritten by the next group.
-    With ``derivatives`` the rows of the kernels tau * exp(-rate * tau) follow, one per rate.
-
-    A group is 16 blocks of L = 16 samples, or more blocks while few rates keep its carry matrices
-    within ``_CARRY`` values, and one matrix product takes every rate's blocks of a group.  Each
-    rate's L x L Toeplitz matrix of kernel heads (``_block_kernels``) has 1/2 on its diagonal and the
-    first input sample, scaled by dt like the rest, is halved once: the trapezoid weights.  The full
-    sums c[i] = sum_q a^(i - q) u[q] at the block ends carry into the next block,
+    Each rate's L x L Toeplitz matrix of kernel heads has 1/2 on its diagonal, and the first input
+    sample is halved once: the trapezoid weights.  A block's own full sums at its end are g x_m, g
+    the last rows of those matrices with the 1/2 made whole.  They carry into the next block,
     S[lo + j] += a^(j + 1) c[lo - 1] (Stockham 1966), over a group's blocks by one product with the
-    Toeplitz matrix of the block factors a^(L d) = exp(-rate * tau[L d]).  The derivative sums w
-    carry as w[lo + j] += a^(j + 1) (w[lo - 1] + tau[j + 1] c[lo - 1]).  Every sum is formed from its
-    own terms, so a response far below its kernel's head, growing or decaying, keeps its relative
-    accuracy.  For R rates and n samples this costs O(R L n) time and O(R L^2) memory.
+    Toeplitz matrix of the block factors a^(L d) = exp(-rate * tau[L d]).  The derivative sums w carry
+    as w[lo + j] += a^(j + 1) (w[lo - 1] + tau[j + 1] c[lo - 1]).  One matrix product forms every
+    rate's responses in a group.  Every sum is formed from its own terms, so a response far below its
+    kernel's head, growing or decaying, keeps its relative accuracy.  For R rates and n samples this
+    costs O(R n) time and O(R L^2 + R M^2) memory for M blocks per group, and with ``form`` O(R L n)
+    more time and O(R M L) more memory.
     """
-    R, n, k = len(rates), len(u), 2 if derivatives else 1
-    if not R:
-        return
-    L, M = _group_size(n, R, k)
-    tau, heads, toep, carry = _block_kernels(rates, dt, L, M, derivatives)
-    toep = toep.reshape(k * R * L, L)
-    heads_tau = heads[:, 1:, None] * tau[1:, None]
-    x, buf = np.zeros(M * L), np.empty(k * R * M * L)
-    ends = np.zeros((k, R, M + 1))  # the sum before the group, then at the end of each block
+    tau, heads, toep, carry = kernels
+    k, R, L, M, n = *toep.shape[:3], carry.shape[-1], len(u)
+    g = toep[:, :, -1].copy()
+    g[0, :, -1] = 1.0
+    g, toep = g.reshape(k * R, L), toep.reshape(k * R * L, L)
+    x, buf, S = np.zeros(M * L), np.empty(k * R * M * L) if form else None, None
+    ends = np.zeros((k, R, M + 1))  # the sum before the group, then each block's own at its end
     for lo in range(0, n, M * L):
         b = min(M * L, n - lo)
         nb = -(-b // L)
-        blocks = _block_inputs(u, dt, lo, b, x)[: nb * L].reshape(nb, L).T
-        S = np.matmul(toep, blocks, out=buf[: k * R * L * nb].reshape(k * R * L, nb)).reshape(k, R, L, nb)
-        ends[:, :, 1 : nb + 1] = S[:, :, -1, :]
-        ends[0, :, 1 : nb + 1] += 0.5 * blocks[-1]
-        into = _carry_into(carry[0], ends, nb)
-        if derivatives:
-            into[1, :, 1:] += np.matmul(carry[1, :, :nb, :nb], ends[0, :, :nb, None])[..., 0]
-            S[1] += heads_tau * into[0, :, None, :nb]
-        S += heads[:, 1:, None] * into[:, :, None, :nb]
-        ends[:, :, 0] = into[:, :, nb]
+        x[:b], x[b:] = u[lo : lo + b] * dt, 0.0
         if lo == 0:
-            S[0, :, 0, 0] = 0.0
-        S[..., b - (nb - 1) * L :, -1] = 0.0
-        yield lo, b, S.reshape(k * R, L, nb)
+            x[0] *= 0.5
+        X = x[: nb * L].reshape(nb, L)
+        ends[:, :, 1 : nb + 1] = (g @ X.T).reshape(k, R, nb)
+        into = ends[..., : nb + 1].copy()
+        into[..., 1:] += np.matmul(carry[0, :, :nb, :nb], ends[..., :nb, None])[..., 0]
+        if k == 2:
+            into[1, :, 1:] += np.matmul(carry[1, :, :nb, :nb], ends[0, :, :nb, None])[..., 0]
+        ends[:, :, 0] = into[:, :, nb]
+        if form:
+            S = np.matmul(toep, X.T, out=buf[: k * R * L * nb].reshape(k * R * L, nb)).reshape(k, R, L, nb)
+            if k == 2:
+                S[1] += heads[:, 1:, None] * tau[1:, None] * into[0, :, None, :nb]
+            S += heads[:, 1:, None] * into[:, :, None, :nb]
+            if lo == 0:
+                S[:, :, 0, 0] = 0.0
+            S[..., b - (nb - 1) * L :, -1] = 0.0
+            S = S.reshape(k * R, L, nb)
+        yield lo, b, X, into, S
 
 
 def response_moments(rates: np.ndarray, u: np.ndarray, dt: float, V: np.ndarray, gram: bool = False):
     """(squared norms, S S' or None, S V) of the trapezoid-rule responses S of exp(-rate * tau) to ``u``.
 
-    The same responses as ``response_groups``', with the norms and products read from moments of the
-    input.  With blocks x_m of L samples of dt * u (the first halved), c[m - 1] the full sum carried
-    into block m, T the rate's Toeplitz matrix and h[j] = a^(j + 1) (``_block_kernels``), block m's
-    response is s_m = T x_m + c[m - 1] h.  So, summed over the blocks between the record's first
-    and last,
+    The responses of ``trapezoid_convolve``, in the same groups of blocks (``_walk``), with the norms
+    and products read from moments of the input.  With blocks x_m of L samples of dt * u (the first
+    halved), c[m - 1] the full sum carried into block m, T the rate's Toeplitz matrix and
+    h[j] = a^(j + 1) (``_block_kernels``), block m's response is s_m = T x_m + c[m - 1] h.  So,
+    summed over the blocks between the record's first and last,
       |s|^2 = <T'T, X> + 2 (T'h) . sum_m c[m - 1] x_m + |h|^2 sum_m c[m - 1]^2,  X = sum_m x_m x_m',
       s . v = <T, sum_m v_m x_m'> + h . sum_m c[m - 1] v_m,
     where X and the sums of v_m x_m' are shared by every rate.  The first block (its response at
     t = 0 is 0) and the last (its response is 0 past the record's end) are formed explicitly.
-    Along the record each rate takes only its block-end sums and their carry, in groups of blocks
-    as in ``response_groups``: O(R n (k + 3)) time for R rates and k columns of V, and
-    O(R L^2 + R M^2) memory for M blocks per group, whatever n.  With ``gram`` the same walk forms
-    each group's responses s_m, in one reused buffer of R M L values, and adds their products to
-    the Gram matrix S S': O(R L n + R^2 n) more time and O(R M L + R^2) more memory.  The norms and
-    products do not depend on ``gram``.
+    Along the record each rate takes only its block-end sums and their carry:
+    O(R n (k + 3)) time for R rates and k columns of V, and O(R L^2 + R M^2) memory for M blocks
+    per group, whatever n.  With ``gram`` the walk also forms each group's responses s_m, in one
+    reused buffer of R M L values, and adds their products to the Gram matrix S S':
+    O(R L n + R^2 n) more time and O(R M L + R^2) more memory.  The norms and products do not
+    depend on ``gram``.
     """
     R, n, k = len(rates), len(u), V.shape[1]
     sq, SV, G = np.zeros(R), np.zeros((R, k)), np.zeros((R, R)) if gram else None
     if not R:
         return sq, G, SV
-    L, M = _group_size(n, R)
-    _, heads, toep, carry = _block_kernels(rates, dt, L, M)
-    toep, carry, h = toep[0], carry[0], heads[:, 1:]
-    g = np.ascontiguousarray(heads[:, L - 1 :: -1])  # a^(L - 1 - q): a block's full sum at its end
-    x, v = np.zeros(M * L), np.zeros((M * L, k))
+    kernels = _, heads, toep, carry = _block_kernels(rates, dt, n)
+    toep, h, L, M = toep[0], heads[:, 1:], toep.shape[-1], carry.shape[-1]
+    v = np.zeros((M * L, k))
     Z = np.empty((M, L * (1 + k)))  # row m: block m's inputs x_m, then its rows v_m of V
     XZ = np.zeros((L * (1 + k), L))  # sum_m z_m x_m'
     CZ, cc = np.zeros((R, L * (1 + k))), np.zeros(R)  # sum_m c[m - 1] z_m, sum_m c[m - 1]^2
-    ends = np.zeros((R, M + 1))  # the sum before the group, then each block's own at its end
-    buf = np.empty(R * L * M) if gram else None  # a group's responses, S[i, j, m] at sample lo + m L + j
-    for lo in range(0, n, M * L):
-        b = min(M * L, n - lo)
-        nb = -(-b // L)
+    for lo, b, X, into, S in _walk(u, dt, kernels, gram):
+        nb, into = len(X), into[0]
         v[:b], v[b:] = V[lo : lo + b], 0.0
-        Z[:nb, :L] = _block_inputs(u, dt, lo, b, x)[: nb * L].reshape(nb, L)
+        Z[:nb, :L] = X
         Z[:nb, L:] = v[: nb * L].reshape(nb, L * k)
-        ends[:, 1 : nb + 1] = g @ Z[:nb, :L].T
-        into = _carry_into(carry, ends, nb)
-        ends[:, 0] = into[:, nb]
         first, last = lo == 0, lo + b == n
         if gram:
-            S = np.matmul(toep.reshape(R * L, L), Z[:nb, :L].T, out=buf[: R * L * nb].reshape(R * L, nb))
-            S = S.reshape(R, L, nb)
-            S += h[:, :, None] * into[:, None, :nb]
-            if first:
-                S[:, 0, 0] = 0.0
-            S[:, b - (nb - 1) * L :, -1] = 0.0
             S = S.reshape(R, L * nb)
             G += S @ S.T
         edges = {0} if first else set()  # the record's first and last blocks, formed explicitly
@@ -296,12 +270,13 @@ def trapezoid_convolve(rates, u: np.ndarray, dt: float, derivatives: bool = Fals
 
     ``u`` is sampled at tau = 0, dt, 2 dt, ...  With ``derivatives`` one row per rate follows
     with the response's derivative with respect to log|rate|, the convolution of
-    -rate * tau * exp(-rate * tau) with u.  Computed exactly in blocks (``response_groups``).
+    -rate * tau * exp(-rate * tau) with u.  Computed exactly in blocks (``_walk``).
     """
-    rates = np.asarray(rates, dtype=float)
+    rates, u = np.asarray(rates, dtype=float), np.asarray(u, dtype=float)
     out = np.empty(((2 if derivatives else 1) * len(rates), len(u)))
-    for lo, b, S in response_groups(rates, np.asarray(u, dtype=float), dt, derivatives):
-        out[:, lo : lo + b] = S.transpose(0, 2, 1).reshape(len(out), S.shape[1] * S.shape[2])[:, :b]
+    if len(rates):
+        for lo, b, _, _, S in _walk(u, dt, _block_kernels(rates, dt, len(u), derivatives), True):
+            out[:, lo : lo + b] = S.transpose(0, 2, 1).reshape(len(out), S.shape[1] * S.shape[2])[:, :b]
     if derivatives:
         out[len(rates) :] *= -rates[:, None]
     return out

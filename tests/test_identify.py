@@ -354,15 +354,22 @@ class TestModeBasis:
         # unit rows: every product is at most |v| ~ 26 in size
         assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
 
-    def test_passes_without_a_gram_matrix_form_no_responses(self, monkeypatch):
-        import prodflow.identify
+    @staticmethod
+    def record_walks(monkeypatch):
+        """The ``form`` of every ``transient._walk`` from here on, one entry per walk."""
         import prodflow.transient
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a pass without a Gram matrix formed the responses")
+        forms, walk = [], prodflow.transient._walk
 
-        monkeypatch.setattr(prodflow.transient, "response_groups", refuse)
-        monkeypatch.setattr(prodflow.identify, "response_groups", refuse, raising=False)
+        def recording(u, dt, kernels, form):
+            forms.append(form)
+            return walk(u, dt, kernels, form)
+
+        monkeypatch.setattr(prodflow.transient, "_walk", recording)
+        return forms
+
+    def test_passes_without_a_gram_matrix_form_no_responses(self, monkeypatch):
+        forms = self.record_walks(monkeypatch)
         basis = self.basis()
         V = np.random.default_rng(7).standard_normal((700, 3))
         raw = recursion_responses(basis, self.RATES)
@@ -371,25 +378,22 @@ class TestModeBasis:
         assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
         assert np.abs(cands.products - S @ V).max() < 1e-12
         assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
+        assert forms == [False, False, False]
 
     def test_the_gram_pass_forms_its_responses_in_the_moment_walk(self, monkeypatch):
-        import prodflow.identify
-        import prodflow.transient
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the Gram pass took the responses from response_groups")
-
-        monkeypatch.setattr(prodflow.transient, "response_groups", refuse)
-        monkeypatch.setattr(prodflow.identify, "response_groups", refuse, raising=False)
+        forms = self.record_walks(monkeypatch)
         basis = self.basis()
         V = np.random.default_rng(8).standard_normal((700, 3))
         raw = recursion_responses(basis, self.RATES)
         S = raw / np.linalg.norm(raw, axis=1)[:, None]
         cands = Candidates(basis, self.RATES, gram=True, V=V)
+        # one walk forms the responses for G and reads the norms and products too
+        assert forms == [True]
         assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
         assert np.abs(cands.gram - S @ S.T).max() < 1e-12
         assert np.abs(cands.products - S @ V).max() < 1e-12
         assert np.abs(cands.dot(V) - S @ V).max() < 1e-12
+        assert forms == [True, False]
 
     @pytest.mark.parametrize("n", [3, 17, 700, 3001])
     def test_norms_and_products_do_not_depend_on_the_gram_matrix(self, n):

@@ -182,6 +182,16 @@ class TestStepPlot:
         emit_step_plot(self.curves(cases_dir), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_names_are_escaped_text(self, tmp_path):
+        from xml.etree import ElementTree
+
+        name = 'a&b<c>"d\''
+        out = tmp_path / "names.svg"
+        emit_step_plot([(name, TimeSeries([0.0, 1.0], [0.0, 1.0]))], out)
+        assert '>a&amp;b&lt;c&gt;"d\'</text>' in out.read_text()
+        texts = [el.text for el in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+        assert name in texts
+
     def test_flat_curve(self, tmp_path):
         flat = TimeSeries([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])
         out = tmp_path / "flat.svg"

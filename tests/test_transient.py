@@ -144,10 +144,11 @@ def direct_trapezoid(kernel, u, dt):
 
 
 class TestTrapezoidConvolve:
-    # growing and decaying, up to e^5 over the longest record
+    # growing and decaying, up to e^25 over the longest record
     RATES = np.array([-0.05, -0.004, 0.02, 0.7, 9.0])
 
-    @pytest.mark.parametrize("n", [2, 3, 200, 1001])
+    # 5001 samples with derivatives take 4 groups of 80 blocks: both rows carry across groups
+    @pytest.mark.parametrize("n", [2, 3, 200, 1001, 5001])
     def test_matches_direct_sum_and_stacks_row_by_row(self, n):
         rng = np.random.default_rng(n)
         u, dt, k = rng.normal(size=n), 0.1, len(self.RATES)
