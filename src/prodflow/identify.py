@@ -175,40 +175,6 @@ class ModeBasis:
         self.tau, self.u, self.dt = tau, u, dt
 
 
-class Candidates:
-    """What the search reads of the candidates' unit-norm responses S, without holding S.
-
-    Row i of S is the response of the kernel exp(-rates[i] * tau) to the basis's input, at unit norm.
-    One pass over the record gives the responses' ``norms``, with ``gram`` the Gram matrix ``gram``
-    = S S' (else None), and the ``products`` S V for the columns V given (else for none); ``dot``
-    gives S V for further columns in one more pass.  Every pass is one walk of
-    ``response_moments``, which reads the norms and products from block moments of the input in
-    O(R n) time for R rates and n samples, the same with or without the Gram matrix.  The Gram pass
-    also forms each group's responses in that walk, in O(R L n + R^2 n) time for blocks of L = 16.
-    Either takes O(R L^2 + R^2) memory whatever n.  Rates without a response are dropped.
-    """
-
-    def __init__(self, basis: ModeBasis, rates: np.ndarray, gram: bool = False, V: np.ndarray | None = None):
-        V = np.empty((len(basis.u), 0)) if V is None else V
-        sq, G, SV = response_moments(rates, basis.u, basis.dt, V, gram)
-        norms = np.sqrt(sq)
-        keep = norms > 0
-        if not keep.all():
-            rates, norms, SV = rates[keep], norms[keep], SV[keep]
-            G = None if G is None else G[np.ix_(keep, keep)]
-        if G is not None:
-            G /= norms[:, None]
-            G /= norms
-        SV /= norms[:, None]
-        self.basis, self.rates, self.norms, self.gram, self.products = basis, rates, norms, G, SV
-
-    def dot(self, V: np.ndarray) -> np.ndarray:
-        """S V for the columns of V (n, k), in one more pass."""
-        SV = response_moments(self.rates, self.basis.u, self.basis.dt, V)[2]
-        SV /= self.norms[:, None]
-        return SV
-
-
 @dataclass(frozen=True)
 class Projection:
     """Least-squares state of one rate set with the gains projected out.
@@ -229,15 +195,13 @@ class Projection:
     det: float
 
 
-def project(
-    basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: bool, min_det: float | None = None
-) -> Projection | None:
+def project(basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: bool) -> Projection | None:
     """Gains, residual and Jacobian of y for fixed rates.
 
     The mode columns and their derivatives with respect to log|rate| (the
     convolution of -rate*tau*exp(-rate*tau) with u) come from one call of
-    ``trapezoid_convolve``, the gains from a QR solve.  With ``min_det`` a set whose
-    normalised Gram determinant is at or below it counts as singular.
+    ``trapezoid_convolve``, the gains from a QR solve.  A set whose normalised Gram
+    determinant is at or below ``_SINGULAR_DET`` counts as singular.
     None when the set is singular or anything is non-finite.
     """
     k = len(rates)
@@ -249,7 +213,7 @@ def project(
     if not norms.all():
         return None
     det = float(np.prod((np.diagonal(R) / norms) ** 2))
-    if min_det is not None and det <= min_det:
+    if det <= _SINGULAR_DET:
         return None
     qy = Q.T @ y
     try:
@@ -275,12 +239,12 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
     residual, so the result is never worse than ``rates0``.  Trial rates
     are clipped to the configured search space, [rate_min, rate_max] in
     magnitude and the growth cutoff for growing modes; a trial that makes
-    the rate set singular fails like any other.  At most
-    ``cfg.refine_iterations`` trial steps.  Returns None only when
-    ``rates0`` itself is singular, by the same determinant test.
+    the rate set singular (``project``'s determinant test, always on)
+    fails like any other.  At most ``cfg.refine_iterations`` trial steps.
+    Returns None only when ``rates0`` itself is singular, by the same test.
     """
     rates0 = np.asarray(rates0, dtype=float)
-    cur = project(basis, y, rates0, cfg.allow_impulse, _SINGULAR_DET)
+    cur = project(basis, y, rates0, cfg.allow_impulse)
     if cur is None or not len(rates0):
         return cur
     signs, logs = np.sign(rates0), np.log(np.abs(rates0))
@@ -300,7 +264,7 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
         # clip before exp: each log|rate| moves by at most _MAX_LOG_STEP
         trial_logs = np.clip(logs + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), log_lo, log_hi)
         rates = signs * np.clip(np.exp(trial_logs), cfg.rate_min, hi)
-        trial = project(basis, y, rates, cfg.allow_impulse, _SINGULAR_DET)
+        trial = project(basis, y, rates, cfg.allow_impulse)
         if trial is not None and trial.residual < cur.residual:
             gain = cur.residual - trial.residual
             cur, logs = trial, trial_logs
@@ -320,7 +284,7 @@ def extend_rate_set(
     """``prev``'s rates plus the ``m`` in {1, 2} candidates that lower the residual most.
 
     The candidates' unit-norm responses S, one row per entry of ``rates``, enter through
-    SV = S [prev.q, prev.r] and, for pairs, their Gram matrix G = S S' (``Candidates``).
+    SV = S [prev.q, prev.r] and, for pairs, their Gram matrix G = S S' (``fit_productivity``).
     Against ``prev``'s projection candidate s has residual correlation c = s.r and squared
     norm d = 1 - |q's|^2, and it lowers the squared residual by c^2 / d.  A pair lowers it
     by c' D^-1 c, where D is the pair's block of the reduced Gram matrix G - (S q)(S q)'.
@@ -377,16 +341,27 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     eu, ey = math.frexp(float(np.abs(u).max()))[1], math.frexp(float(np.abs(y).max()))[1]
     basis, ys = ModeBasis(tau, np.ldexp(u, -eu), dt), np.ldexp(y, -ey)
 
-    # fits[k] is the refined fit of order k, None when it has no start, and
-    # SV[k] the candidates' products S [q, r] with it, one pass each
+    # fits[k] is the refined fit of order k, None when it has no start.  The search reads the
+    # candidates' unit-norm responses S through one response_moments pass per fit below the
+    # top order: SV[k] = S [q, r] with fits[k].  The first pass also gives the norms, which
+    # drop the rates without a response, and for pairs the Gram matrix G = S S'.
     fits = [project(basis, ys, np.empty(0), cfg.allow_impulse)]
-    cands = Candidates(basis, rates, cfg.max_modes >= 2, np.column_stack([fits[0].q, fits[0].r]))
-    SV = [cands.products]
+    sq, G, sv = response_moments(rates, basis.u, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
+    norms = np.sqrt(sq)
+    keep = norms > 0
+    if not keep.all():
+        rates, norms, sv = rates[keep], norms[keep], sv[keep]
+        G = None if G is None else G[np.ix_(keep, keep)]
+    if G is not None:
+        G /= norms[:, None]
+        G /= norms
+    sv /= norms[:, None]
+    SV = {0: sv}
     for k in range(1, cfg.max_modes + 1):
         starts = []
         for j, m in ((k - 2, 2), (k - 1, 1)):
             if j >= 0 and fits[j] is not None:
-                seed = extend_rate_set(cands.rates, SV[j], cands.gram, fits[j], m)
+                seed = extend_rate_set(rates, SV[j], G, fits[j], m)
                 if seed is not None and not any(np.array_equal(seed, s) for s in starts):
                     starts.append(seed)
         fit = None
@@ -395,8 +370,9 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
             if trial is not None and (fit is None or trial.residual < fit.residual):
                 fit = trial
         fits.append(fit)
-        if k < cfg.max_modes:
-            SV.append(None if fit is None else cands.dot(np.column_stack([fit.q, fit.r])))
+        if k < cfg.max_modes and fit is not None:
+            SV[k] = response_moments(rates, basis.u, dt, np.column_stack([fit.q, fit.r]))[2]
+            SV[k] /= norms[:, None]
     tie_tol = 1e-12 * math.ldexp(yy, -2 * ey)
     best = None
     for fit in fits[0 if cfg.allow_impulse else 1 :]:

@@ -18,14 +18,13 @@ from prodflow import (
     step_response,
 )
 from prodflow.identify import (
-    Candidates,
     ModeBasis,
     extend_rate_set,
     project,
     rate_grid,
     refine,
 )
-from prodflow.transient import trapezoid_convolve
+from prodflow.transient import response_moments, trapezoid_convolve
 from expected import P1
 
 # coarse grid keeps unit tests quick; the acceptance suite runs the default
@@ -243,6 +242,26 @@ class TestFitProductivity:
 
         assert peak(32000) < 2 * peak(8000)
 
+    def test_rates_without_a_response_are_dropped(self, monkeypatch):
+        # one input sample at t = 0 with dt = 1: every rate above about 745 has a zero response
+        import prodflow.identify
+
+        seen, extend = [], prodflow.identify.extend_rate_set
+
+        def recording(rates, *args):
+            seen.append(rates)
+            return extend(rates, *args)
+
+        monkeypatch.setattr(prodflow.identify, "extend_rate_set", recording)
+        t = np.arange(20.0)
+        u = np.where(t == 0.0, 1.0, 0.0)
+        result = fit_productivity(ProcessRun(TimeSeries(t, u), TimeSeries(t, 0.5**t)), CHEAP)
+        assert math.isfinite(result.gof) and math.isfinite(result.model.impulse_gain)
+        assert all(math.isfinite(m.gain) for m in result.model.modes)
+        assert seen and seen[0].max() < 745.0 < rate_grid(CHEAP).max()
+        for rates in seen:
+            assert trapezoid_convolve(rates, u, 1.0).any(axis=1).all()
+
     def test_mismatched_grids_are_resampled(self):
         t_in = np.arange(0.0, 10.0 + 1e-9, 0.1)
         t_out = np.arange(0.0, 10.0 + 1e-9, 0.15)
@@ -310,6 +329,17 @@ def search_stats(S, prev):
     return S @ np.column_stack([prev.q, prev.r]), S @ S.T
 
 
+def assert_moments(moments, S, V, tol=1e-12):
+    """``response_moments``' (squared norms, G or None, S V) against explicit responses S, each to
+    ``tol`` relative to the responses' norms."""
+    sq, G, SV = moments
+    norms = np.sqrt((S * S).sum(axis=1))
+    assert np.sqrt(sq) == pytest.approx(norms.astype(float), rel=tol, abs=0.0)
+    if G is not None:
+        assert (np.abs(G - S @ S.T) <= tol * np.outer(norms, norms)).all()
+    assert (np.abs(SV - S @ V.astype(S.dtype)) <= tol * norms[:, None]).all()
+
+
 def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
     """Reference: one np.linalg.solve per added set, the first set wins ties."""
     A = np.vstack(([basis.u] if allow_impulse else []) + [unit_responses(basis, np.append(prev_rates, cands))])
@@ -339,20 +369,16 @@ class TestModeBasis:
 
     def test_unit_responses_match_one_stacked_convolution(self):
         basis = self.basis()
-        raw = recursion_responses(basis, self.RATES)
-        S = raw / np.linalg.norm(raw, axis=1)[:, None]
-        cands = Candidates(basis, self.RATES, gram=True)
-        assert cands.rates is self.RATES and Candidates(basis, self.RATES).gram is None
-        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
-        assert np.abs(cands.gram - S @ S.T).max() < 1e-12
+        V = np.empty((700, 0))
+        moments = response_moments(self.RATES, basis.u, basis.dt, V, True)
+        assert response_moments(self.RATES, basis.u, basis.dt, V)[1] is None
+        assert_moments(moments, recursion_responses(basis, self.RATES), V)
 
     def test_correlation_form_matches_the_explicit_products(self):
         basis = self.basis()
         V = np.random.default_rng(4).standard_normal((700, 3))
-        S = recursion_responses(basis, self.RATES)
-        S /= np.linalg.norm(S, axis=1)[:, None]
-        # unit rows: every product is at most |v| ~ 26 in size
-        assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
+        moments = response_moments(self.RATES, basis.u, basis.dt, V)
+        assert_moments(moments, recursion_responses(basis, self.RATES), V)
 
     @staticmethod
     def record_walks(monkeypatch):
@@ -373,37 +399,31 @@ class TestModeBasis:
         basis = self.basis()
         V = np.random.default_rng(7).standard_normal((700, 3))
         raw = recursion_responses(basis, self.RATES)
-        S = raw / np.linalg.norm(raw, axis=1)[:, None]
-        cands = Candidates(basis, self.RATES, V=V)
-        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
-        assert np.abs(cands.products - S @ V).max() < 1e-12
-        assert np.abs(Candidates(basis, self.RATES).dot(V) - S @ V).max() < 1e-12
-        assert forms == [False, False, False]
+        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V), raw, V)
+        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V[:, :0]), raw, V[:, :0])
+        assert forms == [False, False]
 
     def test_the_gram_pass_forms_its_responses_in_the_moment_walk(self, monkeypatch):
         forms = self.record_walks(monkeypatch)
         basis = self.basis()
         V = np.random.default_rng(8).standard_normal((700, 3))
         raw = recursion_responses(basis, self.RATES)
-        S = raw / np.linalg.norm(raw, axis=1)[:, None]
-        cands = Candidates(basis, self.RATES, gram=True, V=V)
+        moments = response_moments(self.RATES, basis.u, basis.dt, V, True)
         # one walk forms the responses for G and reads the norms and products too
         assert forms == [True]
-        assert cands.norms == pytest.approx(np.linalg.norm(raw, axis=1), rel=1e-12)
-        assert np.abs(cands.gram - S @ S.T).max() < 1e-12
-        assert np.abs(cands.products - S @ V).max() < 1e-12
-        assert np.abs(cands.dot(V) - S @ V).max() < 1e-12
+        assert_moments(moments, raw, V)
+        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V), raw, V)
         assert forms == [True, False]
 
     @pytest.mark.parametrize("n", [3, 17, 700, 3001])
     def test_norms_and_products_do_not_depend_on_the_gram_matrix(self, n):
         tau = 0.05 * np.arange(n)
-        basis = ModeBasis(tau, 1.0 + 0.5 * np.sin(0.3 * tau), 0.05)
+        u = 1.0 + 0.5 * np.sin(0.3 * tau)
         V = np.random.default_rng(n).standard_normal((n, 2))
-        with_gram, without = Candidates(basis, self.RATES, True, V), Candidates(basis, self.RATES, False, V)
-        assert with_gram.norms.tobytes() == without.norms.tobytes()
-        assert with_gram.products.tobytes() == without.products.tobytes()
-        assert with_gram.dot(V).tobytes() == without.dot(V).tobytes()
+        sq, _, SV = response_moments(self.RATES, u, 0.05, V, True)
+        sq_alone, _, SV_alone = response_moments(self.RATES, u, 0.05, V)
+        assert sq.tobytes() == sq_alone.tobytes()
+        assert SV.tobytes() == SV_alone.tobytes()
 
     @pytest.mark.parametrize("n", [3, 16, 17, 700, 3001])
     def test_signed_input_matches_a_long_double_recursion(self, n):
@@ -421,15 +441,8 @@ class TestModeBasis:
         for i, x in enumerate(u.astype(ld)):
             z = a * z + x
             S[:, i] = ld(dt) * (z - ld(0.5) * (x + np.exp(-rates.astype(ld) * ld(tau[i])) * ld(u[0])))
-        norms = np.sqrt((S * S).sum(axis=1))
-        S /= norms[:, None]
         V = rng.standard_normal((n, 2))
-        expected = (S @ V.astype(ld)).astype(float)
-        cands = Candidates(ModeBasis(tau, u, dt), rates, gram=True, V=V)
-        assert cands.norms == pytest.approx(norms.astype(float), rel=1e-13, abs=0.0)
-        assert np.abs(cands.gram - (S @ S.T).astype(float)).max() < 1e-13
-        assert np.abs(cands.products - expected).max() < 1e-13
-        assert np.abs(cands.dot(V) - expected).max() < 1e-13
+        assert_moments(response_moments(rates, u, dt, V, True), S, V, 1e-13)
 
     def test_growing_kernels_stay_accurate_after_leading_zeros(self):
         # the input is off until t = 5, so the rate -7 response starts e^35 below its end
@@ -437,12 +450,8 @@ class TestModeBasis:
         u = np.where(tau >= 5.0, 1.0 + 0.2 * np.sin(tau), 0.0)
         rates = np.array([-7.0, -3.0, 0.5])
         basis = ModeBasis(tau, u, 0.05)
-        S = recursion_responses(basis, rates)
-        cands = Candidates(basis, rates)
-        assert cands.norms == pytest.approx(np.linalg.norm(S, axis=1), rel=1e-12)
         V = np.random.default_rng(5).standard_normal((400, 2))
-        expected = S / np.linalg.norm(S, axis=1)[:, None] @ V
-        assert np.abs(cands.dot(V) - expected).max() < 1e-12
+        assert_moments(response_moments(rates, u, 0.05, V), recursion_responses(basis, rates), V)
 
     def test_fast_decaying_candidates_match_a_long_double_reference(self):
         # a lone input sample: the rate 464 response at sample 1 is e^-40 of its kernel's head,
@@ -459,21 +468,9 @@ class TestModeBasis:
             for i, x in enumerate(u):
                 z = a * z + ld(x)
                 row[i] = ld(dt) * (z - ld(0.5) * (ld(x) + np.exp(-ld(rate) * ld(tau[i])) * ld(u[0])))
-        norms = np.sqrt((S * S).sum(axis=1))
-        S /= norms[:, None]
         V = np.random.default_rng(6).standard_normal((len(u), 2))
-        basis = ModeBasis(tau, u, dt)
-        cands = Candidates(basis, rates, gram=True)
-        assert cands.norms == pytest.approx(norms.astype(float), rel=1e-12, abs=0.0)
-        assert np.abs(cands.gram - (S @ S.T).astype(float)).max() < 1e-12
-        assert np.abs(cands.dot(V) - (S @ V).astype(float)).max() < 1e-12
-        assert np.abs(Candidates(basis, rates, V=V).products - (S @ V).astype(float)).max() < 1e-12
-
-    def test_rates_without_a_response_are_dropped(self):
-        t = np.linspace(0.0, 1.0, 10)
-        cands = Candidates(ModeBasis(t, np.zeros(10), t[1]), np.array([0.5, 2.0]), gram=True)
-        assert cands.rates.shape == (0,) and cands.gram.shape == (0, 0)
-        assert cands.dot(np.ones((10, 2))).shape == (0, 2)
+        assert_moments(response_moments(rates, u, dt, V, True), S, V, 1e-13)
+        assert_moments(response_moments(rates, u, dt, V), S, V, 1e-13)
 
     def test_a_fit_and_a_simulation_need_no_fft(self, monkeypatch):
         from prodflow import simulate_response
@@ -612,6 +609,10 @@ class TestRefine:
     def test_singular_start_is_none(self):
         basis, y = self.record()
         assert refine(basis, y, [0.3, 0.3]) is None
+
+    def test_a_singular_set_projects_to_none(self):
+        basis, y = self.record()
+        assert project(basis, y, np.array([0.3, 0.3]), True) is None
 
     def test_growing_mode_stays_within_the_cutoff(self):
         basis, y = self.record(dt=0.1, n=200)
