@@ -138,7 +138,7 @@ def _common_grid(run: ProcessRun) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     din, dout = np.diff(inp.t), np.diff(out.t)
     same = len(inp) == len(out) and np.array_equal(inp.t, out.t)
     if same and np.allclose(din, din[0], rtol=1e-9, atol=0.0):
-        t, u, y, dt = inp.t.copy(), inp.values.copy(), out.values.copy(), float(din.mean())
+        t, u, y, dt = inp.t, inp.values, out.values, float(din.mean())
     else:
         dt = float(min(np.median(din), np.median(dout)))
         t0, t1, longer = max(inp.t[0], out.t[0]), min(inp.t[-1], out.t[-1]), max(len(inp), len(out))
@@ -333,7 +333,8 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     tau = t - t[0]
     rates = list(grid)
     if cfg.allow_unstable:
-        rates += [-r for r in grid if r * float(tau[-1]) <= _MAX_GROWTH_EXPONENT]
+        with np.errstate(over="ignore"):  # past the float range r * span is inf, and the rate is left out
+            rates += [-r for r in grid if r * float(tau[-1]) <= _MAX_GROWTH_EXPONENT]
     rates = np.sort(np.asarray(rates))
 
     # the search runs on u and y scaled by powers of two into [0.5, 1) at
@@ -344,11 +345,13 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     # fits[k] is the refined fit of order k, None when it has no start.  The search reads the
     # candidates' unit-norm responses S through one response_moments pass per fit below the
     # top order: SV[k] = S [q, r] with fits[k].  The first pass also gives the norms, which
-    # drop the rates without a response, and for pairs the Gram matrix G = S S'.
+    # drop the rates without a response or whose response overflows (a span past about 1e155),
+    # and for pairs the Gram matrix G = S S'.
     fits = [project(basis, ys, np.empty(0), cfg.allow_impulse)]
-    sq, G, sv = response_moments(rates, basis.u, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
+    with np.errstate(over="ignore"):
+        sq, G, sv = response_moments(rates, basis.u, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
     norms = np.sqrt(sq)
-    keep = norms > 0
+    keep = (norms > 0) & np.isfinite(norms)
     if not keep.all():
         rates, norms, sv = rates[keep], norms[keep], sv[keep]
         G = None if G is None else G[np.ix_(keep, keep)]

@@ -226,6 +226,19 @@ class TestFit:
         assert all(math.isfinite(v) for v in summary.values())
         assert math.isfinite(fitted.impulse_gain) and all(math.isfinite(m.gain) for m in fitted.modes)
 
+    @pytest.mark.parametrize("span", ["1e156", "1e200", "1e307"])
+    @pytest.mark.parametrize("extra", [[], ["--max-modes", "1"]], ids=["default", "one-mode"])
+    def test_a_span_past_the_float_range_of_the_responses_fits_without_warnings(self, span, extra, tmp_path, capsys):
+        # every candidate's squared response norm overflows: none is left, and the impulse alone is fitted
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text(f"t,u,y\n0,1,1\n{float(span) / 2!r},1,2\n{span},1,2.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--run", str(run_csv), *extra, "--out", str(tmp_path / "fit.txt")) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["modes"] == 0 and summary["impulse_gain"] == summary["fdp_alpha"]
+        assert summary["gof"] == summary["fdp_gof"]
+
     def test_cell_over_the_csv_field_limit_is_user_error(self, tmp_path, capsys):
         run_csv = tmp_path / "run.csv"
         run_csv.write_text("t,u,y\n0,1,0.5\n1,1," + "1" * 200_000 + "\n2,1,0.9\n")
