@@ -201,7 +201,7 @@ def project(basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: b
     The mode columns and their derivatives with respect to log|rate| (the
     convolution of -rate*tau*exp(-rate*tau) with u) come from one call of
     ``trapezoid_convolve``, the gains from a QR solve.  A set whose normalised Gram
-    determinant is at or below ``_SINGULAR_DET`` counts as singular.
+    determinant is at or below ``_SINGULAR_DET`` always counts as singular.
     None when the set is singular or anything is non-finite.
     """
     k = len(rates)
