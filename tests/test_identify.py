@@ -242,26 +242,6 @@ class TestFitProductivity:
 
         assert peak(32000) < 2 * peak(8000)
 
-    def test_rates_without_a_response_are_dropped(self, monkeypatch):
-        # one input sample at t = 0 with dt = 1: every rate above about 745 has a zero response
-        import prodflow.identify
-
-        seen, extend = [], prodflow.identify.extend_rate_set
-
-        def recording(rates, *args):
-            seen.append(rates)
-            return extend(rates, *args)
-
-        monkeypatch.setattr(prodflow.identify, "extend_rate_set", recording)
-        t = np.arange(20.0)
-        u = np.where(t == 0.0, 1.0, 0.0)
-        result = fit_productivity(ProcessRun(TimeSeries(t, u), TimeSeries(t, 0.5**t)), CHEAP)
-        assert math.isfinite(result.gof) and math.isfinite(result.model.impulse_gain)
-        assert all(math.isfinite(m.gain) for m in result.model.modes)
-        assert seen and seen[0].max() < 745.0 < rate_grid(CHEAP).max()
-        for rates in seen:
-            assert trapezoid_convolve(rates, u, 1.0).any(axis=1).all()
-
     def test_mismatched_grids_are_resampled(self):
         t_in = np.arange(0.0, 10.0 + 1e-9, 0.1)
         t_out = np.arange(0.0, 10.0 + 1e-9, 0.15)
@@ -471,6 +451,26 @@ class TestModeBasis:
         V = np.random.default_rng(6).standard_normal((len(u), 2))
         assert_moments(response_moments(rates, u, dt, V, True), S, V, 1e-13)
         assert_moments(response_moments(rates, u, dt, V), S, V, 1e-13)
+
+    def test_rates_without_a_response_are_dropped(self, monkeypatch):
+        # one input sample at t = 0 with dt = 1: every rate above about 745 has a zero response
+        import prodflow.identify
+
+        seen, extend = [], prodflow.identify.extend_rate_set
+
+        def recording(rates, *args):
+            seen.append(rates)
+            return extend(rates, *args)
+
+        monkeypatch.setattr(prodflow.identify, "extend_rate_set", recording)
+        t = np.arange(20.0)
+        u = np.where(t == 0.0, 1.0, 0.0)
+        result = fit_productivity(ProcessRun(TimeSeries(t, u), TimeSeries(t, 0.5**t)), CHEAP)
+        assert math.isfinite(result.gof) and math.isfinite(result.model.impulse_gain)
+        assert all(math.isfinite(m.gain) for m in result.model.modes)
+        assert seen and seen[0].max() < 745.0 < rate_grid(CHEAP).max()
+        for rates in seen:
+            assert trapezoid_convolve(rates, u, 1.0).any(axis=1).all()
 
     def test_a_fit_and_a_simulation_need_no_fft(self, monkeypatch):
         from prodflow import simulate_response
