@@ -168,13 +168,6 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
     return FdpFit(alpha, _nrmse(y, y - alpha * u, yy))
 
 
-class ModeBasis:
-    """A recorded input ``u`` with step ``dt`` and its lag times ``tau``, whose modes a fit convolves."""
-
-    def __init__(self, tau: np.ndarray, u: np.ndarray, dt: float):
-        self.tau, self.u, self.dt = tau, u, dt
-
-
 @dataclass(frozen=True)
 class Projection:
     """Least-squares state of one rate set with the gains projected out.
@@ -195,8 +188,8 @@ class Projection:
     det: float
 
 
-def project(basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: bool) -> Projection | None:
-    """Gains, residual and Jacobian of y for fixed rates.
+def project(u: np.ndarray, dt: float, y: np.ndarray, rates: np.ndarray, allow_impulse: bool) -> Projection | None:
+    """Gains, residual and Jacobian of y for fixed rates, with u the input sampled at step dt.
 
     The mode columns and their derivatives with respect to log|rate| (the
     convolution of -rate*tau*exp(-rate*tau) with u) come from one call of
@@ -205,9 +198,9 @@ def project(basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: b
     None when the set is singular or anything is non-finite.
     """
     k = len(rates)
-    cols = trapezoid_convolve(rates, basis.u, basis.dt, derivatives=True)
+    cols = trapezoid_convolve(rates, u, dt, derivatives=True)
     phi, deriv = cols[:k], cols[k:]
-    A = np.vstack([basis.u, phi]).T if allow_impulse else phi.T
+    A = np.vstack([u, phi]).T if allow_impulse else phi.T
     Q, R = np.linalg.qr(A)
     norms = np.linalg.norm(A, axis=0)
     if not norms.all():
@@ -230,25 +223,26 @@ def project(basis: ModeBasis, y: np.ndarray, rates: np.ndarray, allow_impulse: b
     return Projection(rates, residual, float(theta[0]) if allow_impulse else 0.0, gains, r, jacobian, Q, det)
 
 
-def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()) -> Projection | None:
+def refine(
+    u: np.ndarray, dt: float, y: np.ndarray, rates0, grow_max: float, cfg: FitConfig = FitConfig()
+) -> Projection | None:
     """Variable-projection Levenberg-Marquardt refinement of a rate set.
 
     Optimises log|rate| jointly with every rate's sign fixed and the gains
     projected out at each iterate (Golub & Pereyra 1973), using Kaufman's
     (1975) Jacobian.  A step is taken only if it strictly lowers the
     residual, so the result is never worse than ``rates0``.  Trial rates
-    are clipped to the configured search space, [rate_min, rate_max] in
-    magnitude and the growth cutoff for growing modes; a trial that makes
+    are clipped to [rate_min, rate_max] in magnitude, and growing ones to
+    at most ``grow_max``, the caller's growth cutoff; a trial that makes
     the rate set singular (``project``'s determinant test, always on)
     fails like any other.  At most ``cfg.refine_iterations`` trial steps.
     Returns None only when ``rates0`` itself is singular, by the same test.
     """
     rates0 = np.asarray(rates0, dtype=float)
-    cur = project(basis, y, rates0, cfg.allow_impulse)
+    cur = project(u, dt, y, rates0, cfg.allow_impulse)
     if cur is None or not len(rates0):
         return cur
     signs, logs = np.sign(rates0), np.log(np.abs(rates0))
-    grow_max = min(cfg.rate_max, _MAX_GROWTH_EXPONENT / float(basis.tau[-1]))
     hi = np.where(signs < 0, grow_max, cfg.rate_max)
     log_lo, log_hi = math.log(cfg.rate_min), np.log(hi)
     lam = 1e-3
@@ -264,7 +258,7 @@ def refine(basis: ModeBasis, y: np.ndarray, rates0, cfg: FitConfig = FitConfig()
         # clip before exp: each log|rate| moves by at most _MAX_LOG_STEP
         trial_logs = np.clip(logs + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), log_lo, log_hi)
         rates = signs * np.clip(np.exp(trial_logs), cfg.rate_min, hi)
-        trial = project(basis, y, rates, cfg.allow_impulse)
+        trial = project(u, dt, y, rates, cfg.allow_impulse)
         if trial is not None and trial.residual < cur.residual:
             gain = cur.residual - trial.residual
             cur, logs = trial, trial_logs
@@ -321,6 +315,8 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     the first start on a tie.  With allow_impulse the static baseline is
     inside the search space (order 0), so the returned gof never falls
     below fit_fdp's.  Ties between model orders go to the smaller model.
+    Growing rates, candidates and refined ones alike, stay at or below
+    grow_max = min(rate_max, 150 / the run's time span).
     """
     t, u, y, dt, uu, yy = _common_grid(run)
     if uu == 0.0:
@@ -330,31 +326,33 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     grid = rate_grid(cfg)
     if len(grid) < cfg.max_modes:
         raise ValueError("rate grid has fewer points than max_modes")
-    tau = t - t[0]
-    rates = list(grid)
-    if cfg.allow_unstable:
-        with np.errstate(over="ignore"):  # past the float range r * span is inf, and the rate is left out
-            rates += [-r for r in grid if r * float(tau[-1]) <= _MAX_GROWTH_EXPONENT]
-    rates = np.sort(np.asarray(rates))
+    span = float(t[-1] - t[0])  # a subnormal span makes 150 / span inf, and min keeps rate_max
+    grow_max = min(cfg.rate_max, _MAX_GROWTH_EXPONENT / span)
+    rates = np.concatenate([-grid[grid <= grow_max][::-1], grid]) if cfg.allow_unstable else grid
 
     # the search runs on u and y scaled by powers of two into [0.5, 1) at
     # their largest: exact, and growing-mode responses cannot overflow
     eu, ey = math.frexp(float(np.abs(u).max()))[1], math.frexp(float(np.abs(y).max()))[1]
-    basis, ys = ModeBasis(tau, np.ldexp(u, -eu), dt), np.ldexp(y, -ey)
+    us, ys = np.ldexp(u, -eu), np.ldexp(y, -ey)
 
     # fits[k] is the refined fit of order k, None when it has no start.  The search reads the
     # candidates' unit-norm responses S through one response_moments pass per fit below the
     # top order: SV[k] = S [q, r] with fits[k].  The first pass also gives the norms, which
     # drop the rates without a response or whose response overflows (a span past about 1e155),
     # and for pairs the Gram matrix G = S S'.
-    fits = [project(basis, ys, np.empty(0), cfg.allow_impulse)]
+    fits = [project(us, dt, ys, np.empty(0), cfg.allow_impulse)]
     with np.errstate(over="ignore"):
-        sq, G, sv = response_moments(rates, basis.u, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
+        sq, G, sv = response_moments(rates, us, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
     norms = np.sqrt(sq)
     keep = (norms > 0) & np.isfinite(norms)
     if not keep.all():
         rates, norms, sv = rates[keep], norms[keep], sv[keep]
         G = None if G is None else G[np.ix_(keep, keep)]
+    if not len(rates) and not cfg.allow_impulse:
+        raise ValueError(
+            f"no candidate rate has a finite, nonzero response over the run's time span of {span:g}; "
+            "rescale the time axis"
+        )
     if G is not None:
         G /= norms[:, None]
         G /= norms
@@ -369,12 +367,12 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
                     starts.append(seed)
         fit = None
         for start in starts:
-            trial = refine(basis, ys, start, cfg)
+            trial = refine(us, dt, ys, start, grow_max, cfg)
             if trial is not None and (fit is None or trial.residual < fit.residual):
                 fit = trial
         fits.append(fit)
         if k < cfg.max_modes and fit is not None:
-            SV[k] = response_moments(rates, basis.u, dt, np.column_stack([fit.q, fit.r]))[2]
+            SV[k] = response_moments(rates, us, dt, np.column_stack([fit.q, fit.r]))[2]
             SV[k] /= norms[:, None]
     tie_tol = 1e-12 * math.ldexp(yy, -2 * ey)
     best = None

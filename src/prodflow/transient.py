@@ -309,8 +309,10 @@ def settling_time(pf: ProductivityFunction, cfg: SettlingConfig = SettlingConfig
 
     An impulse-only model settles immediately.  See the module docstring
     for the two band conventions.  Raises ValueError when the settling
-    time, the steady state or the band overflows to a non-finite value;
-    a growing model has no steady state and its amplitude band is NaN.
+    time, the steady state or the band overflows to a non-finite value,
+    and, in the final band, when the band is degenerate: its edges
+    epsilon * |steady state| away round to the steady state itself.  A
+    growing model has no steady state and its amplitude band is NaN.
     """
     ss = steady_state_gain(pf)
     if not pf.modes:
@@ -355,9 +357,11 @@ def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float 
     """
     if ss is None:
         raise ValueError("final-value band needs a stable model")
-    if ss == 0.0:
-        raise ValueError("final-value band is degenerate: steady state is 0")
     half = cfg.epsilon * abs(ss)
+    # no band at ss = 0, at a half-width that underflows or at one below half an ulp of ss;
+    # a non-finite ss goes on to settling_time's overflow error
+    if math.isfinite(ss) and not ss - half < ss < ss + half:
+        raise ValueError(f"final-value band is degenerate: its half-width {half!r} is below the rounding of {ss!r}")
     rate_min = min(m.decay_rate for m in pf.modes)
     ts_guess = math.log(1.0 / cfg.epsilon) / rate_min
     total_amp = sum(abs(m.gain / m.decay_rate) for m in pf.modes)

@@ -114,6 +114,23 @@ class TestSettle:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
 
+    @pytest.mark.parametrize(
+        "model",
+        # half = 1e-300 * 1e-30 underflows to 0; half = 1e-280 is far below the rounding of ss = 1e20,
+        # where the response stays outside the band until t = 645 and no sample could show it
+        ["exp 1e-30 1.0\n", "impulse 1e20\nexp 1.0 1.0\n"],
+        ids=["underflowing", "below-rounding"],
+    )
+    def test_a_final_band_narrower_than_the_rounding_of_the_steady_state_is_user_error(self, tmp_path, capsys, model):
+        path = tmp_path / "m.txt"
+        path.write_text(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("settle", "--model", str(path), "--band", "final", "--epsilon", "1e-300") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "final-value band is degenerate" in captured.err
+
     def test_overflowing_reaction_fraction_is_user_error(self, cases_dir, capsys):
         rc = run_cli("settle", "--model", str(cases_dir / "case1/model.txt"), "--total-time", "1e-320")
         assert rc == 1
@@ -239,6 +256,19 @@ class TestFit:
         assert summary["modes"] == 0 and summary["impulse_gain"] == summary["fdp_alpha"]
         assert summary["gof"] == summary["fdp_gof"]
 
+    @pytest.mark.parametrize("span", ["1e156", "1e200", "1e307"])
+    def test_a_span_past_the_float_range_of_the_responses_without_the_impulse_is_user_error(self, span, tmp_path, capsys):
+        # no candidate is left and nothing else may be fitted: the error names the span
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text(f"t,u,y\n0,1,1\n{float(span) / 2!r},1,2\n{span},1,2.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--run", str(run_csv), "--no-impulse", "--out", str(tmp_path / "fit.txt")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "fit.txt").exists()
+        assert len(captured.err.splitlines()) == 1
+        assert f"time span of {float(span):g}; rescale the time axis" in captured.err
+
     def test_cell_over_the_csv_field_limit_is_user_error(self, tmp_path, capsys):
         run_csv = tmp_path / "run.csv"
         run_csv.write_text("t,u,y\n0,1,0.5\n1,1," + "1" * 200_000 + "\n2,1,0.9\n")
@@ -341,6 +371,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == f"error: {cases / 'c2' / 'model.txt'}: line 1: exp takes a gain and a decay rate\n"
 
+    def test_a_degenerate_final_band_is_a_note(self, tmp_path, capsys):
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1e-30 1.0\n")
+        (case / "case.txt").write_text("name = Case T\ntt = 10\nmodel = model.txt\n")
+        out = tmp_path / "r.csv"
+        argv = ["report", "--cases", str(tmp_path / "cases"), "--band", "final", "--epsilon", "1e-300", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (note,) = captured.out.splitlines()
+        assert note.startswith("note [Case T]: settling failed: final-value band is degenerate")
+        assert out.read_text().splitlines()[1] == "Case T,,10,,,,,,,steady"
+
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1
 
@@ -403,6 +449,32 @@ class TestExitCodes:
 
     def test_version_is_zero(self, capsys):
         assert run_cli("--version") == 0
+
+    def test_the_command_line_imports_nothing_beyond_numpy_and_the_listed_stdlib(self):
+        # setup_s is a benchmark metric: a new import must be added to this list on purpose
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import prodflow
+
+        # locale: argparse's messages go through gettext, which imports it when the parser first runs
+        preloaded = [
+            "numpy", "numpy.linalg", "argparse", "csv", "json", "math", "sys", "traceback", "warnings",
+            "collections.abc", "contextlib", "dataclasses", "itertools", "pathlib", "typing", "__future__", "locale",
+        ]
+        code = (
+            f"import importlib, sys\nfor name in {preloaded!r}:\n    importlib.import_module(name)\n"
+            "before = set(sys.modules)\nfrom prodflow.cli import main\nassert main(['--version']) == 0\n"
+            "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+        )
+        src = str(Path(prodflow.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stderr.split()
+        assert "prodflow.cli" in loaded
+        assert [m for m in loaded if m != "prodflow" and not m.startswith("prodflow.")] == []
 
     def test_internal_error_is_two(self, cases_dir, monkeypatch, capsys):
         import prodflow.cli as cli_mod

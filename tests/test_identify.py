@@ -18,7 +18,6 @@ from prodflow import (
     step_response,
 )
 from prodflow.identify import (
-    ModeBasis,
     extend_rate_set,
     project,
     rate_grid,
@@ -256,6 +255,31 @@ class TestFitProductivity:
         assert result.model.modes[0].decay_rate == pytest.approx(0.8369, rel=0.05)
         assert result.gof >= baseline.gof - 1e-12
 
+    def test_growing_candidates_follow_the_growth_cutoff_at_every_span(self, monkeypatch):
+        # the candidate set against the rule written out: every grid rate, and the negative of each
+        # one with rate * span <= 150; the two may differ only where rate * span rounds to 150
+        import prodflow.identify
+
+        cfg = FitConfig(max_modes=1)
+        grid = rate_grid(cfg).tolist()
+        seen, moments = [], prodflow.identify.response_moments
+
+        def recording(rates, *args):
+            seen.append(rates)
+            return moments(rates, *args)
+
+        monkeypatch.setattr(prodflow.identify, "response_moments", recording)
+        # log-uniform over the float range, and over the spans where the cutoff splits the grid
+        rng = np.random.default_rng(22)
+        spans = 10.0 ** np.concatenate([rng.uniform(-300.0, math.log10(1e307), 50), rng.uniform(-1.0, 6.0, 20)])
+        for span in [*spans.tolist(), 1e155, 1e156, 1e307]:
+            t = np.array([0.0, span / 2, span])
+            seen.clear()
+            fit_productivity(ProcessRun(TimeSeries(t, np.ones(3)), TimeSeries(t, np.array([1.0, 2.0, 2.5]))), cfg)
+            want = sorted(grid + [-r for r in grid if r * span <= 150.0])
+            near = {-r for r in grid if abs(r * span - 150.0) <= 2 * math.ulp(150.0)}
+            assert [r for r in seen[0].tolist() if r not in near] == [r for r in want if r not in near]
+
 
 class TestConfig:
     def test_rate_grid_shape(self):
@@ -281,26 +305,31 @@ class TestConfig:
 
 
 def mode_record(pf, dt, n):
-    """Noise-free response of ``pf`` to a step-plus-sinusoid input from t = 1."""
+    """(tau, u, dt, y): the noise-free response y of ``pf`` to a step-plus-sinusoid input u from t = 1."""
     from prodflow import simulate_response
 
     t = dt * np.arange(n)
     u = np.where(t >= 1.0, 1.0 + 0.2 * np.sin(0.7 * t), 0.0)
-    return ModeBasis(t, u, dt), simulate_response(pf, TimeSeries(t, u), dt).values
+    return t, u, dt, simulate_response(pf, TimeSeries(t, u), dt).values
 
 
-def unit_responses(basis, rates):
-    S = trapezoid_convolve(rates, basis.u, basis.dt)
+def growth_cutoff(tau, cfg=FitConfig()):
+    """``fit_productivity``'s grow_max for lag times tau."""
+    return min(cfg.rate_max, 150.0 / float(tau[-1]))
+
+
+def unit_responses(u, dt, rates):
+    S = trapezoid_convolve(rates, u, dt)
     return S / np.linalg.norm(S, axis=1)[:, None]
 
 
-def recursion_responses(basis, rates):
+def recursion_responses(tau, u, dt, rates):
     """Reference: the rectangle sums by recursion, z[i] = a z[i - 1] + u[i], and the trapezoid ends."""
-    a, u, dt = np.exp(-rates * basis.dt), basis.u, basis.dt
+    a = np.exp(-rates * dt)
     S, z = np.empty((len(rates), len(u))), np.zeros(len(rates))
     for i, x in enumerate(u):
         z = a * z + x
-        S[:, i] = dt * (z - 0.5 * (x + np.exp(-rates * basis.tau[i]) * u[0]))
+        S[:, i] = dt * (z - 0.5 * (x + np.exp(-rates * tau[i]) * u[0]))
     return S
 
 
@@ -320,9 +349,9 @@ def assert_moments(moments, S, V, tol=1e-12):
     assert (np.abs(SV - S @ V.astype(S.dtype)) <= tol * norms[:, None]).all()
 
 
-def brute_force_extension(basis, y, prev_rates, allow_impulse, cands, m):
+def brute_force_extension(u, dt, y, prev_rates, allow_impulse, cands, m):
     """Reference: one np.linalg.solve per added set, the first set wins ties."""
-    A = np.vstack(([basis.u] if allow_impulse else []) + [unit_responses(basis, np.append(prev_rates, cands))])
+    A = np.vstack(([u] if allow_impulse else []) + [unit_responses(u, dt, np.append(prev_rates, cands))])
     A /= np.linalg.norm(A, axis=1)[:, None]
     fixed = list(range(len(A) - len(cands)))
     best_res, best_set = math.inf, None
@@ -342,23 +371,23 @@ class TestModeBasis:
     # groups of 256 samples, the last one ending in a partial block of 12
     RATES = np.concatenate([-np.geomspace(0.1, 1.4, 20), np.geomspace(1e-3, 1e3, 280)])
 
-    def basis(self):
+    def record(self):
         # the input starts away from 0, so the trapezoid's u[0] end term counts
         tau = 0.05 * np.arange(700)
-        return ModeBasis(tau, 1.0 + 0.5 * np.sin(0.3 * tau), 0.05)
+        return tau, 1.0 + 0.5 * np.sin(0.3 * tau), 0.05
 
     def test_unit_responses_match_one_stacked_convolution(self):
-        basis = self.basis()
+        tau, u, dt = self.record()
         V = np.empty((700, 0))
-        moments = response_moments(self.RATES, basis.u, basis.dt, V, True)
-        assert response_moments(self.RATES, basis.u, basis.dt, V)[1] is None
-        assert_moments(moments, recursion_responses(basis, self.RATES), V)
+        moments = response_moments(self.RATES, u, dt, V, True)
+        assert response_moments(self.RATES, u, dt, V)[1] is None
+        assert_moments(moments, recursion_responses(tau, u, dt, self.RATES), V)
 
     def test_correlation_form_matches_the_explicit_products(self):
-        basis = self.basis()
+        tau, u, dt = self.record()
         V = np.random.default_rng(4).standard_normal((700, 3))
-        moments = response_moments(self.RATES, basis.u, basis.dt, V)
-        assert_moments(moments, recursion_responses(basis, self.RATES), V)
+        moments = response_moments(self.RATES, u, dt, V)
+        assert_moments(moments, recursion_responses(tau, u, dt, self.RATES), V)
 
     @staticmethod
     def record_walks(monkeypatch):
@@ -376,23 +405,23 @@ class TestModeBasis:
 
     def test_passes_without_a_gram_matrix_form_no_responses(self, monkeypatch):
         forms = self.record_walks(monkeypatch)
-        basis = self.basis()
+        tau, u, dt = self.record()
         V = np.random.default_rng(7).standard_normal((700, 3))
-        raw = recursion_responses(basis, self.RATES)
-        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V), raw, V)
-        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V[:, :0]), raw, V[:, :0])
+        raw = recursion_responses(tau, u, dt, self.RATES)
+        assert_moments(response_moments(self.RATES, u, dt, V), raw, V)
+        assert_moments(response_moments(self.RATES, u, dt, V[:, :0]), raw, V[:, :0])
         assert forms == [False, False]
 
     def test_the_gram_pass_forms_its_responses_in_the_moment_walk(self, monkeypatch):
         forms = self.record_walks(monkeypatch)
-        basis = self.basis()
+        tau, u, dt = self.record()
         V = np.random.default_rng(8).standard_normal((700, 3))
-        raw = recursion_responses(basis, self.RATES)
-        moments = response_moments(self.RATES, basis.u, basis.dt, V, True)
+        raw = recursion_responses(tau, u, dt, self.RATES)
+        moments = response_moments(self.RATES, u, dt, V, True)
         # one walk forms the responses for G and reads the norms and products too
         assert forms == [True]
         assert_moments(moments, raw, V)
-        assert_moments(response_moments(self.RATES, basis.u, basis.dt, V), raw, V)
+        assert_moments(response_moments(self.RATES, u, dt, V), raw, V)
         assert forms == [True, False]
 
     @pytest.mark.parametrize("n", [3, 17, 700, 3001])
@@ -429,9 +458,8 @@ class TestModeBasis:
         tau = 0.05 * np.arange(400)
         u = np.where(tau >= 5.0, 1.0 + 0.2 * np.sin(tau), 0.0)
         rates = np.array([-7.0, -3.0, 0.5])
-        basis = ModeBasis(tau, u, 0.05)
         V = np.random.default_rng(5).standard_normal((400, 2))
-        assert_moments(response_moments(rates, u, 0.05, V), recursion_responses(basis, rates), V)
+        assert_moments(response_moments(rates, u, 0.05, V), recursion_responses(tau, u, 0.05, rates), V)
 
     def test_fast_decaying_candidates_match_a_long_double_reference(self):
         # a lone input sample: the rate 464 response at sample 1 is e^-40 of its kernel's head,
@@ -497,18 +525,19 @@ class TestGridScan:
     EXTENSIONS = {0: [("empty", 0)], 1: [("empty", 1)], 2: [("empty", 2), ("refined", 1)], 3: [("refined", 2)]}
 
     def check_extensions(self, k, seed, allow_impulse):
-        basis, y = mode_record(self.PF, 0.1, 200)
+        tau, u, dt, y = mode_record(self.PF, 0.1, 200)
         y = y + 0.05 * np.random.default_rng(seed).standard_normal(len(y))
         for start, m in self.EXTENSIONS[k]:
             if start == "refined":
-                prev = refine(basis, y, [0.5], FitConfig(allow_impulse=allow_impulse))
+                cfg = FitConfig(allow_impulse=allow_impulse)
+                prev = refine(u, dt, y, [0.5], growth_cutoff(tau, cfg), cfg)
             else:
-                prev = project(basis, y, np.empty(0), allow_impulse)
-            ref_res, ref_rates = brute_force_extension(basis, y, list(prev.rates), allow_impulse, self.CANDS, m)
-            S = unit_responses(basis, self.CANDS)
+                prev = project(u, dt, y, np.empty(0), allow_impulse)
+            ref_res, ref_rates = brute_force_extension(u, dt, y, list(prev.rates), allow_impulse, self.CANDS, m)
+            S = unit_responses(u, dt, self.CANDS)
             rates = extend_rate_set(self.CANDS, *search_stats(S, prev), prev, m) if m else prev.rates
             assert list(rates) == ref_rates
-            assert project(basis, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
+            assert project(u, dt, y, rates, allow_impulse).residual == pytest.approx(ref_res, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -523,35 +552,35 @@ class TestGridScan:
 
     def test_exact_tie_goes_to_the_first_set(self):
         cands = np.array([0.02, 0.1, 0.5, 0.7, 3.0, 12.0])
-        basis, _ = mode_record(self.PF, 0.1, 200)
-        S = unit_responses(basis, cands)
+        _, u, dt, _ = mode_record(self.PF, 0.1, 200)
+        S = unit_responses(u, dt, cands)
         S[3] = S[1]  # candidates 1 and 3 have the same response
-        y = S[1] + 0.4 * S[4] + 0.002 * np.random.default_rng(7).standard_normal(len(basis.u))
-        prev = project(basis, y, np.empty(0), False)
+        y = S[1] + 0.4 * S[4] + 0.002 * np.random.default_rng(7).standard_normal(len(u))
+        prev = project(u, dt, y, np.empty(0), False)
         assert list(extend_rate_set(cands, *search_stats(S, prev), prev, 1)) == [0.1]
         # (1, 4) and (3, 4) score bit for bit the same; (1, 3) is singular
         assert list(extend_rate_set(cands, *search_stats(S, prev), prev, 2)) == [0.1, 3.0]
 
     def test_all_singular_is_none(self):
         t = np.linspace(0.0, 1.0, 10)
-        basis = ModeBasis(t, np.linspace(1.0, 2.0, 10), t[1])
+        u, dt = np.linspace(1.0, 2.0, 10), t[1]
         # the candidates differ from the input column by angles near 1e-6:
         # Gram determinants near 1e-12, below the threshold but not 0
-        S = basis.u + 1e-6 * np.random.default_rng(3).standard_normal((3, 10))
+        S = u + 1e-6 * np.random.default_rng(3).standard_normal((3, 10))
         S /= np.linalg.norm(S, axis=1)[:, None]
         cands = np.array([0.1, 1.0, 10.0])
-        prev = project(basis, np.ones(10), np.empty(0), False)
+        prev = project(u, dt, np.ones(10), np.empty(0), False)
         assert extend_rate_set(cands, *search_stats(S, prev), prev, 2) is None
         # every candidate nearly repeats the impulse column
-        prev = project(basis, np.ones(10), np.empty(0), True)
+        prev = project(u, dt, np.ones(10), np.empty(0), True)
         assert extend_rate_set(cands, *search_stats(S, prev), prev, 1) is None
 
     def test_pair_start_finds_what_single_additions_miss(self):
         # a difference of two close exponentials: the best single rate plus
         # one more refines to gof 0.82 only; the best pair reaches the truth
         pf = ProductivityFunction(0.0, (ExponentialMode(1.0, 0.3), ExponentialMode(-2.0, 0.5)))
-        basis, y = mode_record(pf, 0.1, 200)
-        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y))
+        tau, u, _, y = mode_record(pf, 0.1, 200)
+        run = ProcessRun(TimeSeries(tau, u), TimeSeries(tau, y))
         fit = fit_productivity(run, CHEAP)
         assert [m.decay_rate for m in fit.model.modes] == pytest.approx([0.3, 0.5], rel=1e-8)
         assert fit.gof == pytest.approx(1.0, abs=1e-9)
@@ -560,8 +589,8 @@ class TestGridScan:
         pf = ProductivityFunction(
             0.4, (ExponentialMode(0.8, 0.08), ExponentialMode(1.0, 0.6), ExponentialMode(-0.5, 4.0))
         )
-        basis, y = mode_record(pf, 0.05, 400)
-        run = ProcessRun(TimeSeries(basis.tau, basis.u), TimeSeries(basis.tau, y))
+        tau, u, _, y = mode_record(pf, 0.05, 400)
+        run = ProcessRun(TimeSeries(tau, u), TimeSeries(tau, y))
         model = fit_productivity(run, FitConfig(max_modes=3)).model
         assert [m.decay_rate for m in model.modes] == pytest.approx([0.08, 0.6, 4.0], rel=1e-9)
         assert [m.gain for m in model.modes] == pytest.approx([0.8, 1.0, -0.5], rel=1e-9)
@@ -575,8 +604,8 @@ class TestRefine:
         return mode_record(self.PF, dt, n)
 
     def test_recovers_noise_free_two_mode_model(self):
-        basis, y = self.record()
-        fit = refine(basis, y, [0.22, 2.9])
+        tau, u, dt, y = self.record()
+        fit = refine(u, dt, y, [0.22, 2.9], growth_cutoff(tau))
         assert fit.rates == pytest.approx([0.3, 2.0], rel=1e-8)
         assert fit.gains == pytest.approx([1.0, -0.5], rel=1e-8)
         assert fit.impulse == pytest.approx(0.4, rel=1e-8)
@@ -586,10 +615,10 @@ class TestRefine:
     )
     @pytest.mark.parametrize("iterations", [0, 1, 5, 50])
     def test_never_above_the_start(self, start, iterations):
-        basis, y = self.record(dt=0.1, n=200)
+        tau, u, dt, y = self.record(dt=0.1, n=200)
         y = y + 0.02 * np.random.default_rng(1).standard_normal(len(y))
-        start_res = project(basis, y, np.array(start), True).residual
-        fit = refine(basis, y, start, FitConfig(refine_iterations=iterations))
+        start_res = project(u, dt, y, np.array(start), True).residual
+        fit = refine(u, dt, y, start, growth_cutoff(tau), FitConfig(refine_iterations=iterations))
         assert fit.residual <= start_res
         assert np.all(np.sign(fit.rates) == np.sign(start))
         assert np.all((1e-3 <= np.abs(fit.rates)) & (np.abs(fit.rates) <= 1e3))
@@ -597,38 +626,39 @@ class TestRefine:
             assert fit.residual == start_res
 
     def test_extend_rate_set_matches_brute_force(self):
-        basis, y = self.record(dt=0.1, n=200)
+        _, u, dt, y = self.record(dt=0.1, n=200)
         y = y + 0.02 * np.random.default_rng(2).standard_normal(len(y))
-        prev = project(basis, y, np.array([0.35]), True)
+        prev = project(u, dt, y, np.array([0.35]), True)
         cands = np.array([-0.05, 0.01, 0.1, 0.35, 1.0, 2.5, 9.0])
-        S = unit_responses(basis, cands)
+        S = unit_responses(u, dt, cands)
         # the candidate equal to the previous rate is singular and skipped
-        ref = min((project(basis, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
+        ref = min((project(u, dt, y, np.sort([0.35, r]), True).residual, r) for r in cands if r != 0.35)
         assert list(extend_rate_set(cands, *search_stats(S, prev), prev)) == sorted([0.35, ref[1]])
 
     def test_singular_start_is_none(self):
-        basis, y = self.record()
-        assert refine(basis, y, [0.3, 0.3]) is None
+        tau, u, dt, y = self.record()
+        assert refine(u, dt, y, [0.3, 0.3], growth_cutoff(tau)) is None
 
     def test_a_singular_set_projects_to_none(self):
-        basis, y = self.record()
-        assert project(basis, y, np.array([0.3, 0.3]), True) is None
+        _, u, dt, y = self.record()
+        assert project(u, dt, y, np.array([0.3, 0.3]), True) is None
 
     def test_growing_mode_stays_within_the_cutoff(self):
-        basis, y = self.record(dt=0.1, n=200)
+        tau, u, dt, _ = self.record(dt=0.1, n=200)
         # the best fit, rate -9, lies past the cutoff of 150 / span = 7.5
-        fit = refine(basis, np.exp(9.0 * basis.tau), [-1.0])
-        assert 140.0 < abs(fit.rates[0]) * basis.tau[-1] <= 150.0 * (1 + 1e-12)
+        fit = refine(u, dt, np.exp(9.0 * tau), [-1.0], growth_cutoff(tau))
+        assert 140.0 < abs(fit.rates[0]) * tau[-1] <= 150.0 * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed,start", [(0, [0.02, 0.3]), (2, [0.3, 5.0])])
     def test_rates_stay_in_the_configured_range(self, seed, start):
         # one true mode fitted with two: unbounded, the spare mode drifts
         # to rate 0 (seed 0) or to 85 (seed 2)
-        basis, _ = self.record(dt=0.1, n=200)
+        tau, u, dt, _ = self.record(dt=0.1, n=200)
         one = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3),))
         from prodflow import simulate_response
 
-        y = simulate_response(one, TimeSeries(basis.tau, basis.u), 0.1).values
+        y = simulate_response(one, TimeSeries(tau, u), 0.1).values
         y = y + 0.01 * np.random.default_rng(seed).standard_normal(len(y))
-        fit = refine(basis, y, start, FitConfig(rate_min=0.01, rate_max=10.0))
+        cfg = FitConfig(rate_min=0.01, rate_max=10.0)
+        fit = refine(u, dt, y, start, growth_cutoff(tau, cfg), cfg)
         assert np.all((0.01 <= fit.rates) & (fit.rates <= 10.0))
