@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import prodflow
 from prodflow import parse_model
 from prodflow.cli import main
 
@@ -451,14 +456,7 @@ class TestExitCodes:
         assert run_cli("--version") == 0
 
     def test_the_command_line_imports_nothing_beyond_numpy_and_the_listed_stdlib(self):
-        # setup_s is a benchmark metric: a new import must be added to this list on purpose
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import prodflow
-
+        # setup_s is a benchmark metric: a new import must be added to this list on purpose;
         # locale: argparse's messages go through gettext, which imports it when the parser first runs
         preloaded = [
             "numpy", "numpy.linalg", "argparse", "csv", "json", "math", "sys", "traceback", "warnings",
@@ -467,12 +465,12 @@ class TestExitCodes:
         code = (
             f"import importlib, sys\nfor name in {preloaded!r}:\n    importlib.import_module(name)\n"
             "before = set(sys.modules)\nfrom prodflow.cli import main\nassert main(['--version']) == 0\n"
-            "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
-        src = str(Path(prodflow.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        env = {**os.environ, "PYTHONPATH": str(Path(prodflow.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        loaded = done.stderr.split()
+        loaded = done.stdout.splitlines()[-1].split()
         assert "prodflow.cli" in loaded
         assert [m for m in loaded if m != "prodflow" and not m.startswith("prodflow.")] == []
 
