@@ -194,10 +194,17 @@ def _cmd_report(args) -> int:
     return 0
 
 
+# built by the first main() call and reused: a build costs about 30 times a parse, and an
+# import that builds it would charge commands that never parse
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -65,6 +65,8 @@ _REL_TOL = 1e-10
 _MAX_LOG_STEP = 1.0
 # a non-uniform run is resampled onto at most this many times the samples of its longer series
 _MAX_RESAMPLE = 4
+# the pair scan scores this many rows i of candidate pairs (i, j) at a time
+_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -283,26 +285,63 @@ def extend_rate_set(
     norm d = 1 - |q's|^2, and it lowers the squared residual by c^2 / d.  A pair lowers it
     by c' D^-1 c, where D is the pair's block of the reduced Gram matrix G - (S q)(S q)'.
     Sets with prev.det * det <= _SINGULAR_DET are singular and skipped, and the first set
-    in lexicographic order wins exact ties.  None when every set is singular.
+    in lexicographic order wins exact ties.  None when every set is singular.  The pair scan
+    forms D once and scores the pairs in panels of ``_PANEL`` rows (``_best_pair``): its
+    memory is one R x R array plus O(_PANEL R) for R candidates.
     """
     SQ, c = SV[:, :-1], SV[:, -1]
-    if m == 1:
-        det = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
-        num = c * c
-    else:
-        D = G - SQ @ SQ.T
-        i, j = np.triu_indices(len(rates), 1)
-        d, dij = np.diagonal(D), D[i, j]
-        det = d[i] * d[j] - dij * dij
-        num = d[j] * c[i] * c[i] - 2.0 * dij * c[i] * c[j] + d[i] * c[j] * c[j]
+    if m == 2:
+        pair = _best_pair(SQ, c, G, prev.det)
+        return None if pair is None else np.sort(np.append(prev.rates, rates[list(pair)]))
+    det = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
     ok = prev.det * det > _SINGULAR_DET
     if not ok.any():
         return None
     drop = np.full(len(det), -math.inf)
-    drop[ok] = num[ok] / det[ok]
-    best = int(np.argmax(drop))
-    added = rates[best] if m == 1 else rates[[i[best], j[best]]]
-    return np.sort(np.append(prev.rates, added))
+    drop[ok] = c[ok] * c[ok] / det[ok]
+    return np.sort(np.append(prev.rates, rates[int(np.argmax(drop))]))
+
+
+def _best_pair(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float) -> tuple[int, int] | None:
+    """The pair i < j of ``extend_rate_set``'s scan, scored in panels of ``_PANEL`` rows i.
+
+    Each panel takes the columns j > i as slices of d, c and D, and scores them in place with
+    the expressions and order of operations of the flat upper-triangle form, so every score
+    has the same bits.  A panel's first argmax is its lexicographically first best set (or
+    its first NaN, as ``np.argmax`` gives), and the first panel with the best of those wins.
+    """
+    D = SQ @ SQ.T
+    np.subtract(G, D, out=D)
+    d = np.diagonal(D)
+    picks, found = [], False
+    for a in range(0, len(c) - 1, _PANEL):
+        b = min(a + _PANEL, len(c))
+        di, ci = d[a:b, None], c[a:b, None]
+        dj, cj, dij = d[a + 1 :], c[a + 1 :], D[a:b, a + 1 :]
+        t = dij * dij
+        det = di * dj
+        det -= t
+        num = dj * ci
+        num *= ci
+        np.multiply(2.0, dij, out=t)
+        t *= ci
+        t *= cj
+        num -= t
+        np.multiply(di, cj, out=t)
+        t *= cj
+        num += t
+        ok = np.multiply(prev_det, det, out=t) > _SINGULAR_DET
+        lead = ok[:, : b - a]  # column j - a - 1 of row i - a holds the set (i, j): keep j > i
+        lead[np.tri(*lead.shape, -1, dtype=bool)] = False
+        found = found or bool(ok.any())
+        t.fill(-math.inf)
+        np.divide(num, det, out=t, where=ok)
+        i, j = divmod(int(np.argmax(t)), t.shape[1])
+        picks.append((t[i, j], a + i, a + 1 + j))
+    if not found:
+        return None
+    _, i, j = picks[int(np.argmax([p[0] for p in picks]))]
+    return i, j
 
 
 def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -339,9 +378,10 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     # candidates' unit-norm responses S through one response_moments pass per fit below the
     # top order: SV[k] = S [q, r] with fits[k].  The first pass also gives the norms, which
     # drop the rates without a response or whose response overflows (a span past about 1e155),
-    # and for pairs the Gram matrix G = S S'.
+    # and for pairs the Gram matrix G = S S'.  Where the input's block moments overflow, the
+    # zeros of the Toeplitz matrices meet inf and give NaN norms, which drop those rates too.
     fits = [project(us, dt, ys, np.empty(0), cfg.allow_impulse)]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         sq, G, sv = response_moments(rates, us, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
     norms = np.sqrt(sq)
     keep = (norms > 0) & np.isfinite(norms)

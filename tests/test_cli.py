@@ -9,6 +9,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import prodflow
@@ -274,6 +275,24 @@ class TestFit:
         assert len(captured.err.splitlines()) == 1
         assert f"time span of {float(span):g}; rescale the time axis" in captured.err
 
+    @pytest.mark.parametrize("span", [1e200, 1e204, 1e250])
+    @pytest.mark.parametrize("impulse", [True, False], ids=["impulse", "no-impulse"])
+    def test_a_run_whose_input_moments_overflow_fits_without_warnings(self, span, impulse, tmp_path, capsys):
+        # the search's block moments of dt * u overflow, and inf meets the Toeplitz matrices' zeros:
+        # every norm is NaN, so no candidate is left, as when the norms overflow
+        t, u = np.linspace(0.0, span, 34), 10.0 ** np.linspace(-150.0, 150.0, 34)
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n" + "".join(f"{a!r},{b!r},{k}\n" for k, (a, b) in enumerate(zip(t.tolist(), u.tolist()), 1)))
+        extra = [] if impulse else ["--no-impulse"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("fit", "--run", str(run_csv), *extra, "--out", str(tmp_path / "fit.txt"))
+        captured = capsys.readouterr()
+        if impulse:
+            assert rc == 0 and json.loads(captured.out)["modes"] == 0
+        else:
+            assert rc == 1 and f"time span of {span:g}; rescale the time axis" in captured.err
+
     def test_cell_over_the_csv_field_limit_is_user_error(self, tmp_path, capsys):
         run_csv = tmp_path / "run.csv"
         run_csv.write_text("t,u,y\n0,1,0.5\n1,1," + "1" * 200_000 + "\n2,1,0.9\n")
@@ -454,6 +473,36 @@ class TestExitCodes:
 
     def test_version_is_zero(self, capsys):
         assert run_cli("--version") == 0
+
+    def test_one_parser_serves_every_call_like_a_fresh_one(self, cases_dir, tmp_path, monkeypatch, capsys):
+        import prodflow.cli as cli_mod
+
+        fitted = tmp_path / "fit.txt"
+        calls = [
+            ("settle",),
+            ("--version",),
+            ("fit", "--run", str(cases_dir.parent / "out/step_case1.csv"), "--max-modes", "1", "--out", str(fitted)),
+            ("settle", "--model", str(fitted), "--band", "final"),
+        ]
+        builds = []
+        build = cli_mod._build_parser
+        monkeypatch.setattr(cli_mod, "_build_parser", lambda: builds.append(1) or build())
+
+        def outcomes(fresh):
+            fitted.unlink(missing_ok=True)
+            seen = []
+            for argv in calls:
+                if fresh:
+                    monkeypatch.setattr(cli_mod, "_parser", None)
+                rc = run_cli(*argv)
+                seen.append((rc, *capsys.readouterr(), fitted.read_bytes() if fitted.exists() else None))
+            return seen
+
+        monkeypatch.setattr(cli_mod, "_parser", None)
+        reused = outcomes(fresh=False)
+        assert len(builds) == 1
+        assert reused == outcomes(fresh=True) and len(builds) == 1 + len(calls)
+        assert [rc for rc, *_ in reused] == [1, 0, 0, 0]
 
     def test_the_command_line_imports_nothing_beyond_numpy_and_the_listed_stdlib(self):
         # setup_s is a benchmark metric: a new import must be added to this list on purpose;

@@ -575,6 +575,70 @@ class TestGridScan:
         prev = project(u, dt, np.ones(10), np.empty(0), True)
         assert extend_rate_set(cands, *search_stats(S, prev), prev, 1) is None
 
+    @staticmethod
+    def scan_stats(R, seed, nan=False):
+        """(rates, SV, G, prev) of R unit-norm candidates against an impulse-only projection.  Every
+        tenth row repeats the input column, so all its sets are singular; candidates 3 and 70 have the
+        same response, and y is mostly that response plus candidate 120's, so (3, 120) and (70, 120)
+        tie bit for bit as the best sets, across a panel edge at heights 7 and 64."""
+        rng = np.random.default_rng(seed)
+        u = 1.0 + rng.random(30)
+        S = rng.standard_normal((R, 30))
+        S[rng.choice(np.setdiff1d(np.arange(R), [3, 70, 120]), R // 10, replace=False)] = u
+        S /= np.linalg.norm(S, axis=1)[:, None]
+        S[70] = S[3]
+        prev = project(u, 0.1, S[3] + 0.5 * S[120] + 0.01 * rng.standard_normal(30), np.empty(0), True)
+        SV, G = search_stats(S, prev)
+        if nan:
+            SV[rng.integers(R), -1] = math.nan
+        return np.linspace(0.01, 100.0, R), SV, G, prev
+
+    @staticmethod
+    def flat_scan(rates, SV, G, prev):
+        """Reference: the pair scan over np.triu_indices, every set's score in one flat array;
+        (the rates with the pair added, the scores), or None when every set is singular."""
+        SQ, c = SV[:, :-1], SV[:, -1]
+        D = G - SQ @ SQ.T
+        i, j = np.triu_indices(len(rates), 1)
+        d, dij = np.diagonal(D), D[i, j]
+        det = d[i] * d[j] - dij * dij
+        num = d[j] * c[i] * c[i] - 2.0 * dij * c[i] * c[j] + d[i] * c[j] * c[j]
+        ok = prev.det * det > 1e-10
+        if not ok.any():
+            return None
+        drop = np.full(len(det), -math.inf)
+        drop[ok] = num[ok] / det[ok]
+        best = int(np.argmax(drop))
+        return list(np.sort(np.append(prev.rates, rates[[i[best], j[best]]]))), drop
+
+    @pytest.mark.parametrize("panel", [1, 7, 64, 150, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    def test_the_pair_does_not_depend_on_the_panel_height(self, panel, seed, nan, monkeypatch):
+        import prodflow.identify
+
+        monkeypatch.setattr(prodflow.identify, "_PANEL", panel)
+        rates, SV, G, prev = stats = self.scan_stats(150, seed, nan)
+        ref, scores = self.flat_scan(*stats)
+        if nan:  # np.argmax takes the first NaN score
+            assert np.isnan(scores).any() and ref != [rates[3], rates[120]]
+        else:
+            assert (scores == scores.max()).sum() == 2 and ref == [rates[3], rates[120]]
+        assert (scores == -math.inf).sum() > len(scores) // 10
+        assert list(extend_rate_set(*stats, m=2)) == ref
+        assert extend_rate_set(rates, np.zeros_like(SV), np.zeros_like(G), prev, 2) is None
+
+    def test_the_pair_scan_holds_one_gram_sized_array(self):
+        # R = 594 is the default grid with its growing mirror on a 20-unit record
+        rates, SV, G, prev = self.scan_stats(594, 0)
+        tracemalloc.start()
+        try:
+            extend_rate_set(rates, SV, G, prev, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * G.nbytes
+
     def test_pair_start_finds_what_single_additions_miss(self):
         # a difference of two close exponentials: the best single rate plus
         # one more refines to gof 0.82 only; the best pair reaches the truth
