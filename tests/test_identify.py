@@ -584,19 +584,20 @@ class TestGridScan:
         rng = np.random.default_rng(seed)
         u = 1.0 + rng.random(30)
         S = rng.standard_normal((R, 30))
-        S[rng.choice(np.setdiff1d(np.arange(R), [3, 70, 120]), R // 10, replace=False)] = u
+        singular = rng.choice(np.setdiff1d(np.arange(R), [3, 70, 120]), R // 10, replace=False)
+        S[singular] = u
         S /= np.linalg.norm(S, axis=1)[:, None]
         S[70] = S[3]
         prev = project(u, 0.1, S[3] + 0.5 * S[120] + 0.01 * rng.standard_normal(30), np.empty(0), True)
         SV, G = search_stats(S, prev)
         if nan:
-            SV[rng.integers(R), -1] = math.nan
+            SV[rng.choice(np.setdiff1d(np.arange(R), singular)), -1] = math.nan
         return np.linspace(0.01, 100.0, R), SV, G, prev
 
     @staticmethod
     def flat_scan(rates, SV, G, prev):
         """Reference: the pair scan over np.triu_indices, every set's score in one flat array;
-        (the rates with the pair added, the scores), or None when every set is singular."""
+        ((i, j) of the pick, the scores), or None when every set is singular."""
         SQ, c = SV[:, :-1], SV[:, -1]
         D = G - SQ @ SQ.T
         i, j = np.triu_indices(len(rates), 1)
@@ -609,24 +610,26 @@ class TestGridScan:
         drop = np.full(len(det), -math.inf)
         drop[ok] = num[ok] / det[ok]
         best = int(np.argmax(drop))
-        return list(np.sort(np.append(prev.rates, rates[[i[best], j[best]]]))), drop
+        return (int(i[best]), int(j[best])), drop
 
     @pytest.mark.parametrize("panel", [1, 7, 64, 150, 1000])
-    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
-    def test_the_pair_does_not_depend_on_the_panel_height(self, panel, seed, nan, monkeypatch):
+    def test_the_pair_does_not_depend_on_the_panel_height(self, panel, nan, monkeypatch):
         import prodflow.identify
 
         monkeypatch.setattr(prodflow.identify, "_PANEL", panel)
-        rates, SV, G, prev = stats = self.scan_stats(150, seed, nan)
-        ref, scores = self.flat_scan(*stats)
-        if nan:  # np.argmax takes the first NaN score
-            assert np.isnan(scores).any() and ref != [rates[3], rates[120]]
-        else:
-            assert (scores == scores.max()).sum() == 2 and ref == [rates[3], rates[120]]
-        assert (scores == -math.inf).sum() > len(scores) // 10
-        assert list(extend_rate_set(*stats, m=2)) == ref
-        assert extend_rate_set(rates, np.zeros_like(SV), np.zeros_like(G), prev, 2) is None
+        for seed in range(30):
+            rates, SV, G, prev = stats = self.scan_stats(150, seed, nan)
+            pair, scores = self.flat_scan(*stats)
+            if nan:  # np.argmax takes the first NaN score
+                assert np.isnan(scores).any() and pair != (3, 120)
+            else:
+                assert (scores == scores.max()).sum() == 2 and pair == (3, 120)
+            assert (scores == -math.inf).sum() > len(scores) // 10
+            # a set scored as (j, i) rounds differently: on some seeds (70, 120) would beat (3, 120)
+            assert prodflow.identify._best_pair(SV[:, :-1], SV[:, -1], G, prev.det) == pair
+            assert list(extend_rate_set(*stats, m=2)) == list(rates[list(pair)])
+            assert extend_rate_set(rates, np.zeros_like(SV), np.zeros_like(G), prev, 2) is None
 
     def test_the_pair_scan_holds_one_gram_sized_array(self):
         # R = 594 is the default grid with its growing mirror on a 20-unit record
