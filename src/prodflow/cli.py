@@ -194,8 +194,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-# built by the first main() call and reused: a build costs about 30 times a parse, and an
-# import that builds it would charge commands that never parse
+# built by the first main() call, not at import, then reused: a build costs about 30 parses
 _parser: _Parser | None = None
 
 
