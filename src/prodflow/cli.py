@@ -184,12 +184,10 @@ def _cmd_report(args) -> int:
     for key, rho in rhos:
         print(f"spearman(ts/tt, {key}): {rho:+.4f}")
     if args.plot:
-        by_name = {c.name: c for c in cases}
         curves = []
         for row in rows:
-            case = by_name[row.name]
-            horizon = 1.5 * row.settling_time if math.isfinite(row.settling_time) and row.settling_time > 0 else case.total_time
-            curves.append((row.name, step_response(case.model, horizon, horizon / 400.0)))
+            horizon = 1.5 * row.settling_time if math.isfinite(row.settling_time) and row.settling_time > 0 else row.total_time
+            curves.append((row.name, step_response(row.model, horizon, horizon / 400.0)))
         emit_step_plot(curves, args.plot)
     return 0
 

@@ -49,10 +49,11 @@ class ReportRow:
     cv: float | None
     steadiness: str
     note: str = ""
+    model: ProductivityFunction | None = None  # the case's model, which ``report --plot`` draws
 
 
 def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConfig()) -> list[ReportRow]:
-    """One row per case, sorted by ascending reaction fraction (name breaks ties).
+    """One row per case, carrying its model, sorted by ascending reaction fraction (name breaks ties).
 
     A case whose settling computation fails is kept with NaN transient
     fields and the failure appended to its note.
@@ -66,13 +67,12 @@ def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConf
         try:
             ts = settling_time(case.model, cfg).settling_time
             frac = percentile_reaction_time(ts, case.total_time)
-            steadiness = classify_steadiness(ts, case.total_time, stable)
         except ValueError as exc:
             ts = frac = math.nan
-            steadiness = "steady" if stable else "unsteady"
             note = f"{note}; settling failed: {exc}" if note else f"settling failed: {exc}"
+        steadiness = classify_steadiness(ts, case.total_time, stable)
         metrics = {key: getattr(case.metrics, key) if case.metrics else None for key in METRIC_COLUMNS}
-        rows.append(ReportRow(case.name, ts, case.total_time, frac, **metrics, steadiness=steadiness, note=note))
+        rows.append(ReportRow(case.name, ts, case.total_time, frac, **metrics, steadiness=steadiness, note=note, model=case.model))
     rows.sort(key=lambda r: (math.isnan(r.reaction_fraction), r.reaction_fraction, r.name))
     return rows
 

@@ -88,8 +88,9 @@ def step_values(pf: ProductivityFunction, t: np.ndarray) -> np.ndarray:
     """Analytic unit-step response at the given times (step applied at t=0)."""
     t = np.asarray(t, dtype=float)
     y = np.full(t.shape, pf.impulse_gain)
-    for m in pf.modes:
-        y += (m.gain / m.decay_rate) * (1.0 - np.exp(-m.decay_rate * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in pf.modes:
+            y += (m.gain / m.decay_rate) * (1.0 - np.exp(-m.decay_rate * t))
     return y
 
 
@@ -104,8 +105,7 @@ def step_response(pf: ProductivityFunction, horizon: float, dt: float) -> TimeSe
     if not (0 < dt <= horizon):
         raise ValueError(f"dt must be in (0, horizon], got {dt!r}")
     t = uniform_grid(0.0, horizon, dt)
-    with np.errstate(all="ignore"):
-        y = step_values(pf, t)
+    y = step_values(pf, t)
     if not np.isfinite(y).all():
         raise ValueError("step response overflows over this horizon; shorten the horizon")
     return TimeSeries(t, y)

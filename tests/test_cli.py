@@ -15,6 +15,8 @@ import pytest
 import prodflow
 from prodflow import parse_model
 from prodflow.cli import main
+from prodflow.svgplot import emit_step_plot
+from prodflow.transient import settling_time, step_response
 
 
 def run_cli(*argv):
@@ -142,6 +144,18 @@ class TestSettle:
         assert rc == 1
         err = capsys.readouterr().err
         assert "reaction fraction" in err and "not finite" in err and len(err.splitlines()) == 1
+
+    def test_a_rate_near_the_float_maximum_settles_quietly_in_the_final_band(self, tmp_path, capsys):
+        # the fast mode's exponent -rate * t overflows to -inf on the scan grid, and exp(-inf) = 0 is its limit
+        model = tmp_path / "m.txt"
+        model.write_text("exp 1.0 1e308\nexp 1.0 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("settle", "--model", str(model), "--band", "final") == 0
+        assert capsys.readouterr() == (
+            "settling_time: 3.912023008412783\nsteady_state: 1.0\nband_low: 0.98\nband_high: 1.02\nstable: true\n",
+            "",
+        )
 
     def test_missing_file(self, capsys):
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
@@ -410,6 +424,35 @@ class TestReport:
         (note,) = captured.out.splitlines()
         assert note.startswith("note [Case T]: settling failed: final-value band is degenerate")
         assert out.read_text().splitlines()[1] == "Case T,,10,,,,,,,steady"
+
+    def test_rows_that_share_a_name_are_each_drawn_with_their_own_model(self, tmp_path):
+        cases, models = tmp_path / "cases", ("exp 1.0 1.0\n", "exp 5.0 0.1\n")
+        for name, model in zip(("c1", "c2"), models):
+            (cases / name).mkdir(parents=True)
+            (cases / name / "model.txt").write_text(model)
+            (cases / name / "case.txt").write_text("name = Same\ntt = 100\nmodel = model.txt\n")
+        out, plot, expected = tmp_path / "r.csv", tmp_path / "r.svg", tmp_path / "e.svg"
+        assert run_cli("report", "--cases", str(cases), "--out", str(out), "--plot", str(plot)) == 0
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [["Same", "3.91202"], ["Same", "39.1202"]]
+        curves = []
+        for model in map(parse_model, models):
+            horizon = 1.5 * settling_time(model).settling_time
+            curves.append(("Same", step_response(model, horizon, horizon / 400.0)))
+        emit_step_plot(curves, expected)
+        assert plot.read_text() == expected.read_text()
+
+    def test_a_rate_near_the_float_maximum_reports_quietly_in_the_final_band(self, tmp_path, capsys):
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1.0 1e308\nexp 1.0 1.0\n")
+        (case / "case.txt").write_text("name = Edge\ntt = 10\nmodel = model.txt\n")
+        out = tmp_path / "r.csv"
+        argv = ["report", "--cases", str(tmp_path / "cases"), "--band", "final", "--out", str(out), "--plot", str(tmp_path / "r.svg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text().splitlines()[1] == "Edge,3.91202,10,39.12,,,,,,steady"
 
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1
