@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a productivity function to a recorded run")
     p.add_argument("--run", required=True, help="CSV with header 't,u,y'")
-    p.add_argument("--max-modes", type=int, default=2)
+    p.add_argument("--max-modes", type=int, default=FitConfig.max_modes)
     p.add_argument("--no-impulse", action="store_true", help="forbid the feedthrough term")
     p.add_argument("--stable-only", action="store_true", help="forbid growing modes")
     p.add_argument("--out", required=True, help="write the fitted model file here")
@@ -150,6 +150,8 @@ def _cmd_fit(args) -> int:
     )
     baseline = fit_fdp(run)
     result = fit_productivity(run, cfg)
+    if not (math.isfinite(result.gof) and math.isfinite(baseline.gof)):
+        raise ValueError("goodness of fit is undefined: the output is constant, or nearly so, and a fit does not reproduce it")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_model(result.model))
     print(

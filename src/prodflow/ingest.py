@@ -46,6 +46,7 @@ from .report import CaseRecord
 from .spc import METRIC_COLUMNS, ProcessMetrics, classify_variability
 
 
+_RUN_COLUMNS = ("t", "u", "y")  # a run CSV's header, read and written
 _ROWS = 1024  # rows written per block
 _CHUNK = 1 << 14  # characters split into lines per block for np.loadtxt
 
@@ -168,7 +169,7 @@ def _csv_table(fh, path: str | Path, columns: tuple[str, ...], timestamps: bool)
 
 def ingest_run(path: str | Path) -> ProcessRun:
     """Read a t,u,y run."""
-    table = _read_table(path, ("t", "u", "y"), timestamps=True)
+    table = _read_table(path, _RUN_COLUMNS, timestamps=True)
     if len(table) < 2:
         raise CsvFormatError("a run needs at least 2 samples", path)
     t, u, y = table.T
@@ -179,7 +180,7 @@ def write_run_csv(path: str | Path, t, u, y) -> None:
     """Write a t,u,y run: CRLF line ends, each value as its shortest round-trip ``repr``."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in (t, u, y)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,u,y\r\n")
+        fh.write(",".join(_RUN_COLUMNS) + "\r\n")
         for lo in range(0, len(table), _ROWS):
             block = table[lo : lo + _ROWS]
             fh.write("%r,%r,%r\r\n" * len(block) % tuple(block.ravel().tolist()))
@@ -207,7 +208,10 @@ def read_metrics_csv(path: str | Path) -> ProcessMetrics:
     if len(table) != 1:
         raise CsvFormatError("metrics file must have exactly one data row", path)
     values = table[0].tolist()
-    return ProcessMetrics(*values, classify_variability(values[-1]))  # cv is the last column
+    try:
+        return ProcessMetrics(*values, classify_variability(values[-1]))  # cv is the last column
+    except ValueError as exc:
+        raise CsvFormatError(str(exc), path) from None
 
 
 def _parse_keyvalues(path: Path) -> dict[str, str]:
@@ -238,7 +242,10 @@ def read_case_dir(case_dir: str | Path) -> CaseRecord:
         raise ValueError(f"{meta_path}: tt must be a number, got {meta['tt']!r}") from None
     model = load_model(case_dir / meta["model"])
     metrics = read_metrics_csv(case_dir / meta["metrics"]) if "metrics" in meta else None
-    return CaseRecord(meta["name"], model, tt, metrics, meta.get("note", ""))
+    try:
+        return CaseRecord(meta["name"], model, tt, metrics, meta.get("note", ""))
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
 
 
 def ingest_cases(root: str | Path) -> list[CaseRecord]:

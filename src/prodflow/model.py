@@ -115,7 +115,11 @@ def grid_count(t0: float, t1: float, dt: float) -> int:
     count = (t1 - t0) / dt * (1.0 + 1e-12) + 1e-9
     if not math.isfinite(count):
         raise ValueError(f"sample count ({t1!r} - {t0!r}) / {dt!r} is not finite")
-    return int(math.floor(count)) + 1
+    n = int(math.floor(count)) + 1
+    # within the tolerance the last sample may round past t1, and past the float maximum
+    if not math.isfinite(t0 + dt * (n - 1)):
+        raise ValueError(f"last sample {t0!r} + {dt!r} * {n - 1} overflows")
+    return n
 
 
 def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:

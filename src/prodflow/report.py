@@ -38,6 +38,11 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One case's report line, and the case's model, which ``report --plot`` draws.
+
+    Rows may share a name; each carries its own model, so no lookup by name is needed.
+    """
+
     name: str
     settling_time: float
     total_time: float
@@ -49,7 +54,7 @@ class ReportRow:
     cv: float | None
     steadiness: str
     note: str = ""
-    model: ProductivityFunction | None = None  # the case's model, which ``report --plot`` draws
+    model: ProductivityFunction | None = None
 
 
 def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConfig()) -> list[ReportRow]:

@@ -106,15 +106,18 @@ def sample_metrics(values, limits: SpecLimits | None = None) -> ProcessMetrics:
     """All capability and variability statistics of one output sample.
 
     A negative mean is rejected: the CV of a negative output is undefined.
+    So is a statistic that overflows.
     """
     mean, sigma = _mean_std(values)
     if mean < 0.0:
         raise ValueError(f"sample mean is negative ({mean!r}); the CV is undefined")
     lims = limits if limits is not None else default_limits(mean)
-    cv = coefficient_of_variation(sigma, mean)
+    cpk, pp, cv = _cpk(mean, sigma, lims), _pp(sigma, lims), coefficient_of_variation(sigma, mean)
+    if not all(map(math.isfinite, (cpk, pp, cv))):
+        raise ValueError("cpk, pp or cv overflows; the sample's spread is too small against the limits or its mean")
     return ProcessMetrics(
-        cpk=_cpk(mean, sigma, lims),
-        pp=_pp(sigma, lims),
+        cpk=cpk,
+        pp=pp,
         sigma_d=sigma,
         rate_d=mean,
         cv=cv,

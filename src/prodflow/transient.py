@@ -85,7 +85,11 @@ class ChangeoverStages:
 
 
 def step_values(pf: ProductivityFunction, t: np.ndarray) -> np.ndarray:
-    """Analytic unit-step response at the given times (step applied at t=0)."""
+    """Analytic unit-step response at the given times (step applied at t=0).
+
+    Quiet on overflow: an exponent -rate * t that overflows gives exp(-inf) = 0, its exact limit,
+    and a term that overflows is left inf or nan for callers, which check what must be finite.
+    """
     t = np.asarray(t, dtype=float)
     y = np.full(t.shape, pf.impulse_gain)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -142,8 +146,10 @@ def _block_kernels(rates: np.ndarray, dt: float, n: int, derivatives: bool = Fal
     k, L = 2 if derivatives else 1, min(_BLOCK, n)
     M = min(-(-n // L), max(_BLOCK, math.isqrt(_CARRY // (k * len(rates)))))
     tau, tau_blocks = dt * np.arange(L + 1), (L * dt) * np.arange(M + 1)
-    heads = np.exp(np.multiply.outer(-rates, tau))
-    factors = np.exp(np.multiply.outer(-rates, tau_blocks))
+    # a decaying kernel's overflowing exponent gives exp(-inf) = 0, its limit; a growing one's inf is dropped or checked
+    with np.errstate(over="ignore"):
+        heads = np.exp(np.multiply.outer(-rates, tau))
+        factors = np.exp(np.multiply.outer(-rates, tau_blocks))
     half = heads[:, :L].copy()
     half[:, 0] = 0.5
     toep = _toeplitz(np.stack([half, heads[:, :L] * tau[:L]][:k]), L)
@@ -406,14 +412,14 @@ def _settle_final_band(pf: ProductivityFunction, cfg: SettlingConfig, ss: float 
 
 
 def percentile_reaction_time(ts: float, tt: float) -> float:
-    """Settling time as a fraction of the total process time."""
+    """Settling time as a fraction of the total process time, finite also in percent, as reports print it."""
     if tt <= 0:
         raise ValueError(f"total time must be positive, got {tt!r}")
     if ts < 0:
         raise ValueError(f"settling time must be nonnegative, got {ts!r}")
     frac = ts / tt
-    if not math.isfinite(frac):
-        raise ValueError(f"reaction fraction {ts!r} / {tt!r} is not finite")
+    if not math.isfinite(100.0 * frac):
+        raise ValueError(f"reaction fraction {ts!r} / {tt!r} is not finite in percent")
     return frac
 
 

@@ -62,6 +62,14 @@ class TestStep:
         coords = [float(c) for pair in points.split() for c in pair.split(",")]
         assert len(coords) == 2 * 21 and all(math.isfinite(c) for c in coords)
 
+    def test_a_last_sample_past_the_float_maximum_is_user_error(self, cases_dir, tmp_path, capsys):
+        # 3 * fl(max / 3) rounds past the float maximum
+        argv = ["step", "--model", str(cases_dir / "case1/model.txt"), "--out", str(tmp_path / "s.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--horizon", "1.7976931348623157e+308", "--dt", "5.992310449541053e+307") == 1
+        assert capsys.readouterr() == ("", "error: last sample 0.0 + 5.992310449541053e+307 * 3 overflows\n")
+
     def test_oversized_grid_is_user_error(self, cases_dir, tmp_path, monkeypatch, capsys):
         import prodflow.cli as cli_mod
 
@@ -157,6 +165,13 @@ class TestSettle:
             "",
         )
 
+    def test_a_reaction_percentage_past_the_float_maximum_is_user_error(self, cases_dir, capsys):
+        # ts / tt = 4.7e307 is finite, 100 times it is not
+        rc = run_cli("settle", "--model", str(cases_dir / "case1/model.txt"), "--total-time", "1e-307")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: reaction fraction 4.674421084273087 / 1e-307 is not finite in percent\n"
+
     def test_missing_file(self, capsys):
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
         assert "file" in capsys.readouterr().err.lower()
@@ -207,6 +222,16 @@ class TestMetrics:
         assert len(captured.err.splitlines()) == 1 and "overflows" in captured.err
 
 
+    def test_overflowing_performance_is_user_error(self, tmp_path, capsys):
+        # the limits' width over 6 sigma = 4.2e-150 overflows
+        sample = tmp_path / "s.csv"
+        sample.write_text("y\n0\n1e-150\n")
+        assert run_cli("metrics", "--sample", str(sample), "--usl", "1e300", "--lsl", "0") == 1
+        assert capsys.readouterr() == (
+            "", "error: cpk, pp or cv overflows; the sample's spread is too small against the limits or its mean\n"
+        )
+
+
 class TestChain:
     def test_propagates(self, tmp_path, capsys):
         spec = tmp_path / "chain.csv"
@@ -229,6 +254,14 @@ class TestChain:
 
 
 class TestFit:
+    def test_a_constant_output_that_no_fit_reproduces_is_user_error(self, tmp_path, capsys):
+        run_csv, fitted = tmp_path / "run.csv", tmp_path / "fit.txt"
+        run_csv.write_text("t,u,y\n0.0,0.0,1.0\n1.0,1.0,1.0\n")
+        assert run_cli("fit", "--run", str(run_csv), "--out", str(fitted)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not fitted.exists()
+        assert captured.err == "error: goodness of fit is undefined: the output is constant, or nearly so, and a fit does not reproduce it\n"
+
     def test_fits_generated_run(self, cases_dir, tmp_path, capsys):
         run_csv = tmp_path / "run.csv"
         rc = run_cli("step", "--model", str(cases_dir / "case1/model.txt"),
@@ -306,6 +339,15 @@ class TestFit:
             assert rc == 0 and json.loads(captured.out)["modes"] == 0
         else:
             assert rc == 1 and f"time span of {span:g}; rescale the time axis" in captured.err
+
+    def test_a_kept_rate_whose_kernel_exponent_overflows_fits_without_warnings(self, tmp_path, capsys):
+        # the fastest candidates keep a finite response although -rate * tau overflows in their kernels
+        run_csv = tmp_path / "run.csv"
+        run_csv.write_text("t,u,y\n0.0,1.0,0.0\n8.98846567431158e+304,7.470416624247145e-197,1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--run", str(run_csv), "--out", str(tmp_path / "fit.txt")) == 0
+        assert json.loads(capsys.readouterr().out)["modes"] == 1
 
     def test_cell_over_the_csv_field_limit_is_user_error(self, tmp_path, capsys):
         run_csv = tmp_path / "run.csv"
@@ -453,6 +495,24 @@ class TestReport:
             assert run_cli(*argv) == 0
         assert capsys.readouterr() == ("", "")
         assert out.read_text().splitlines()[1] == "Edge,3.91202,10,39.12,,,,,,steady"
+
+    @pytest.mark.parametrize("tt", ["-3", "nan", "inf"])
+    def test_a_bad_total_time_names_the_case_file(self, tmp_path, capsys, tt):
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1 0.5\n")
+        (case / "case.txt").write_text(f"name = C\ntt = {tt}\nmodel = model.txt\n")
+        assert run_cli("report", "--cases", str(tmp_path / "cases"), "--out", str(tmp_path / "r.csv")) == 1
+        assert capsys.readouterr() == ("", f"error: {case / 'case.txt'}: total_time must be positive, got {float(tt)!r}\n")
+
+    def test_a_negative_cv_names_the_metrics_file(self, tmp_path, capsys):
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1 0.5\n")
+        (case / "metrics.csv").write_text("cpk,pp,sigma_d,rate_d,cv\n1.1,1.2,0.5,10,-0.5\n")
+        (case / "case.txt").write_text("name = C\ntt = 10\nmodel = model.txt\nmetrics = metrics.csv\n")
+        assert run_cli("report", "--cases", str(tmp_path / "cases"), "--out", str(tmp_path / "r.csv")) == 1
+        assert capsys.readouterr() == ("", f"error: {case / 'metrics.csv'}: cv must be nonnegative, got -0.5\n")
 
     def test_bad_cases_dir(self, tmp_path, capsys):
         assert run_cli("report", "--cases", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 1
