@@ -151,7 +151,7 @@ def _cmd_fit(args) -> int:
     baseline = fit_fdp(run)
     result = fit_productivity(run, cfg)
     if not (math.isfinite(result.gof) and math.isfinite(baseline.gof)):
-        raise ValueError("goodness of fit is undefined: the output is constant, or nearly so, and a fit does not reproduce it")
+        raise ValueError("gof is undefined: the output is constant, or nearly so, and a fit does not reproduce it")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_model(result.model))
     print(
@@ -188,7 +188,8 @@ def _cmd_report(args) -> int:
     if args.plot:
         curves = []
         for row in rows:
-            horizon = 1.5 * row.settling_time if math.isfinite(row.settling_time) and row.settling_time > 0 else row.total_time
+            ts = row.settling_time
+            horizon = 1.5 * ts if math.isfinite(ts) and ts > 0 else row.total_time
             curves.append((row.name, step_response(row.model, horizon, horizon / 400.0)))
         emit_step_plot(curves, args.plot)
     return 0

@@ -77,7 +77,9 @@ def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConf
             note = f"{note}; settling failed: {exc}" if note else f"settling failed: {exc}"
         steadiness = classify_steadiness(ts, case.total_time, stable)
         metrics = {key: getattr(case.metrics, key) if case.metrics else None for key in METRIC_COLUMNS}
-        rows.append(ReportRow(case.name, ts, case.total_time, frac, **metrics, steadiness=steadiness, note=note, model=case.model))
+        rows.append(
+            ReportRow(case.name, ts, case.total_time, frac, **metrics, steadiness=steadiness, note=note, model=case.model)
+        )
     rows.sort(key=lambda r: (math.isnan(r.reaction_fraction), r.reaction_fraction, r.name))
     return rows
 

@@ -102,7 +102,10 @@ def run(*argv, files=()):
     model=model_texts(),
     band=st.sampled_from(["amplitude", "final"]),
     total=st.one_of(st.none(), mostly(positive, wide)),
-    epsilon=st.one_of(st.none(), mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), wide)),
+    # not in (0.5, 1): as epsilon nears 1 the final band's grid grows without bound, and the test would hang
+    epsilon=st.one_of(
+        st.none(), mostly(st.floats(0.0, 0.5, exclude_min=True), wide.filter(lambda e: not 0.5 < e < 1.0))
+    ),
 )
 @example(model=REPRODUCER, band="final", total=None, epsilon=None)
 def test_settle(work, model, band, total, epsilon):
