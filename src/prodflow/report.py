@@ -38,10 +38,7 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One case's report line, and the case's model, which ``report --plot`` draws.
-
-    Rows may share a name; each carries its own model, so no lookup by name is needed.
-    """
+    """One case's report line; ``model`` is the case's model, which ``report --plot`` draws, so rows may share a name."""
 
     name: str
     settling_time: float
