@@ -67,6 +67,12 @@ _MAX_LOG_STEP = 1.0
 _MAX_RESAMPLE = 4
 # the pair scan scores this many rows i of candidate pairs (i, j) at a time
 _PANEL = 64
+# the search scores the candidates of every _STRIDE-th grid index; each step then zooms in on the fine
+# candidates within _ZOOM grid indices, of the same sign, of a member of its _KEEP[m] best coarse sets of
+# m candidates: those between the member and its coarse neighbours
+_STRIDE = 3
+_ZOOM = _STRIDE - 1
+_KEEP = {1: 3, 2: 96}
 
 
 @dataclass(frozen=True)
@@ -174,20 +180,27 @@ def fit_fdp(run: ProcessRun) -> FdpFit:
 class Projection:
     """Least-squares state of one rate set with the gains projected out.
 
-    ``r`` is the residual vector and ``residual`` its squared norm.
-    ``jacobian`` holds Kaufman's columns, dr/d(log|rate_j|) ~
-    -gain_j * P_perp * D_j.  ``q`` is an orthonormal basis of the columns
-    (impulse first) and ``det`` their normalised Gram determinant.
+    ``q`` is an orthonormal basis of the columns (impulse first) and ``det``
+    their normalised Gram determinant.  ``r`` is the residual vector
+    y - q q'y, formed from ``q`` and ``y`` on each read, and ``residual``
+    its squared norm.  ``jtj`` and ``jtr`` are J'J and J'r for Kaufman's
+    Jacobian J, dr/d(log|rate_j|) ~ -gain_j * P_perp * D_j, which itself is
+    not kept: a projection holds O(n k) memory for k rates and n samples.
     """
 
     rates: np.ndarray
     residual: float
     impulse: float
     gains: np.ndarray
-    r: np.ndarray
-    jacobian: np.ndarray
     q: np.ndarray
     det: float
+    y: np.ndarray
+    jtj: np.ndarray
+    jtr: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.y - self.q @ (self.q.T @ self.y)
 
 
 def project(u: np.ndarray, dt: float, y: np.ndarray, rates: np.ndarray, allow_impulse: bool) -> Projection | None:
@@ -201,8 +214,9 @@ def project(u: np.ndarray, dt: float, y: np.ndarray, rates: np.ndarray, allow_im
     """
     k = len(rates)
     cols = trapezoid_convolve(rates, u, dt, derivatives=True)
-    phi, deriv = cols[:k], cols[k:]
-    A = np.vstack([u, phi]).T if allow_impulse else phi.T
+    if allow_impulse:  # u joins the one array of columns, not a copy of them
+        cols = np.concatenate([u[None], cols])
+    A, dT = cols[: len(cols) - k].T, cols[len(cols) - k :].T
     Q, R = np.linalg.qr(A)
     norms = np.linalg.norm(A, axis=0)
     if not norms.all():
@@ -220,9 +234,12 @@ def project(u: np.ndarray, dt: float, y: np.ndarray, rates: np.ndarray, allow_im
     if not (math.isfinite(residual) and np.isfinite(theta).all()):
         return None
     gains = theta[1:] if allow_impulse else theta
-    dT = deriv.T
-    jacobian = -(dT - Q @ (Q.T @ dT)) * gains
-    return Projection(rates, residual, float(theta[0]) if allow_impulse else 0.0, gains, r, jacobian, Q, det)
+    J = Q @ (Q.T @ dT)
+    np.subtract(dT, J, out=J)
+    np.negative(J, out=J)
+    J *= gains
+    impulse = float(theta[0]) if allow_impulse else 0.0
+    return Projection(rates, residual, impulse, gains, Q, det, y, J.T @ J, J.T @ r)
 
 
 def refine(
@@ -249,10 +266,9 @@ def refine(
     log_lo, log_hi = math.log(cfg.rate_min), np.log(hi)
     lam = 1e-3
     for _ in range(cfg.refine_iterations):
-        J = cur.jacobian
-        JTJ = J.T @ J
+        JTJ = cur.jtj
         try:
-            step = np.linalg.solve(JTJ + lam * np.diag(np.diagonal(JTJ)), -(J.T @ cur.r))
+            step = np.linalg.solve(JTJ + lam * np.diag(np.diagonal(JTJ)), -cur.jtr)
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
@@ -285,37 +301,59 @@ def extend_rate_set(
     norm d = 1 - |q's|^2, and it lowers the squared residual by c^2 / d.  A pair lowers it
     by c' D^-1 c, where D is the pair's block of the reduced Gram matrix G - (S q)(S q)'.
     Sets with prev.det * det <= _SINGULAR_DET are singular and skipped, and the first set
-    in lexicographic order wins exact ties.  None when every set is singular.  The pair scan
-    forms D once and scores the pairs in panels of ``_PANEL`` rows (``_best_pair``): its
-    memory is one R x R array plus O(_PANEL R) for R candidates.
+    in lexicographic order wins exact ties (``_best_sets``).  None when every set is
+    singular.  ``fit_productivity`` calls it on the fine candidates of a zoom.
+    """
+    best = _best_sets(SV, G, prev.det, m, 1)
+    return np.sort(np.append(prev.rates, rates[best[0]])) if len(best) else None
+
+
+def _best_sets(SV: np.ndarray, G: np.ndarray | None, prev_det: float, m: int, keep: int) -> np.ndarray:
+    """The candidate indices of the ``keep`` best sets of ``extend_rate_set``'s scan, best first.
+
+    A (k, m) array with k <= ``keep``, empty when every set is singular.  A NaN score ranks
+    first, as ``np.argmax`` takes it, and equal scores in lexicographic order of the sets.  The
+    pair scan forms D once and scores the pairs in panels of ``_PANEL`` rows (``_best_pairs``):
+    its memory is one R x R array plus O(_PANEL R + keep) for R candidates.
     """
     SQ, c = SV[:, :-1], SV[:, -1]
     if m == 2:
-        pair = _best_pair(SQ, c, G, prev.det)
-        return None if pair is None else np.sort(np.append(prev.rates, rates[list(pair)]))
+        return _best_pairs(SQ, c, G, prev_det, keep)
     det = 1.0 - np.einsum("ij,ij->i", SQ, SQ)
-    ok = prev.det * det > _SINGULAR_DET
-    if not ok.any():
-        return None
-    drop = np.full(len(det), -math.inf)
-    drop[ok] = c[ok] * c[ok] / det[ok]
-    return np.sort(np.append(prev.rates, rates[int(np.argmax(drop))]))
+    ok = np.flatnonzero(prev_det * det > _SINGULAR_DET)
+    return ok[_ranked(c[ok] * c[ok] / det[ok], ok, keep), None]
+
+
+def _ranked(score: np.ndarray, order: np.ndarray, keep: int) -> np.ndarray:
+    """Positions of the ``keep`` highest scores, NaN as the highest, ties in ascending ``order``."""
+    score = np.where(np.isnan(score), math.inf, score)
+    cut = np.arange(len(score))
+    if len(score) > keep:  # only the scores from the keep-th highest up, its ties too, are sorted
+        cut = cut[score >= np.partition(score, len(score) - keep)[len(score) - keep]]
+    return cut[np.lexsort((order[cut], -score[cut]))[:keep]]
 
 
 def _best_pair(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float) -> tuple[int, int] | None:
-    """The pair i < j of ``extend_rate_set``'s scan, scored in panels of ``_PANEL`` rows i.
+    """The best pair (i, j) of ``_best_pairs``, None when every pair is singular."""
+    best = _best_pairs(SQ, c, G, prev_det, 1)
+    return (int(best[0, 0]), int(best[0, 1])) if len(best) else None
+
+
+def _best_pairs(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float, keep: int) -> np.ndarray:
+    """The ``keep`` best pairs i < j of ``extend_rate_set``'s scan, scored in panels of ``_PANEL`` rows i.
 
     Each panel takes the columns j > i as slices of d, c and D, and scores them in place with
     the expressions and order of operations of the flat upper-triangle form, so every score
-    has the same bits.  A panel's first argmax is its lexicographically first best set (or
-    its first NaN, as ``np.argmax`` gives), and the first panel with the best of those wins.
+    has the same bits.  The panel's nonsingular sets join the best ``keep`` so far, and the
+    best ``keep`` of those go on (``_ranked``), so the sets in lexicographic order decide ties.
     """
+    R = len(c)
     D = SQ @ SQ.T
     np.subtract(G, D, out=D)
     d = np.diagonal(D)
-    picks, found = [], False
-    for a in range(0, len(c) - 1, _PANEL):
-        b = min(a + _PANEL, len(c))
+    score, pos = np.empty(0), np.empty(0, dtype=np.intp)  # the best sets so far, pos = i R + j
+    for a in range(0, R - 1, _PANEL):
+        b = min(a + _PANEL, R)
         di, ci = d[a:b, None], c[a:b, None]
         dj, cj, dij = d[a + 1 :], c[a + 1 :], D[a:b, a + 1 :]
         t = dij * dij
@@ -333,15 +371,12 @@ def _best_pair(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float) ->
         ok = np.multiply(prev_det, det, out=t) > _SINGULAR_DET
         lead = ok[:, : b - a]  # column j - a - 1 of row i - a holds the set (i, j): keep j > i
         lead[np.tri(*lead.shape, -1, dtype=bool)] = False
-        found = found or bool(ok.any())
-        t.fill(-math.inf)
-        np.divide(num, det, out=t, where=ok)
-        i, j = divmod(int(np.argmax(t)), t.shape[1])
-        picks.append((t[i, j], a + i, a + 1 + j))
-    if not found:
-        return None
-    _, i, j = picks[int(np.argmax([p[0] for p in picks]))]
-    return i, j
+        i, j = np.nonzero(ok)
+        score = np.concatenate([score, num[i, j] / det[i, j]])
+        pos = np.concatenate([pos, (a + i) * R + (a + 1 + j)])
+        best = _ranked(score, pos, keep)
+        score, pos = score[best], pos[best]
+    return np.column_stack(np.divmod(pos, R))
 
 
 def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult:
@@ -367,42 +402,66 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         raise ValueError("rate grid has fewer points than max_modes")
     span = float(t[-1] - t[0])  # a subnormal span makes 150 / span inf, and min keeps rate_max
     grow_max = min(cfg.rate_max, _MAX_GROWTH_EXPONENT / span)
-    rates = np.concatenate([-grid[grid <= grow_max][::-1], grid]) if cfg.allow_unstable else grid
+    index = np.arange(len(grid))  # each candidate's grid index; its sign is its rate's
+    rates = grid
+    if cfg.allow_unstable:
+        slow = index[grid <= grow_max][::-1]
+        rates, index = np.concatenate([-grid[slow], grid]), np.concatenate([slow, index])
 
     # the search runs on u and y scaled by powers of two into [0.5, 1) at
     # their largest: exact, and growing-mode responses cannot overflow
     eu, ey = math.frexp(float(np.abs(u).max()))[1], math.frexp(float(np.abs(y).max()))[1]
     us, ys = np.ldexp(u, -eu), np.ldexp(y, -ey)
 
-    # fits[k] is the refined fit of order k, None when it has no start.  The search reads the
-    # candidates' unit-norm responses S through one response_moments pass per fit below the
-    # top order: SV[k] = S [q, r] with fits[k].  The first pass also gives the norms, which
-    # drop the rates without a response or whose response overflows (a span past about 1e155),
-    # and for pairs the Gram matrix G = S S'.  Where the input's block moments overflow, the
-    # zeros of the Toeplitz matrices meet inf and give NaN norms, which drop those rates too.
+    def moments(at: np.ndarray, fit: Projection, gram: bool = False):
+        """(at', S [q, r] of ``fit``, S S' or None) for the unit-norm responses S of rates[at'], where at'
+        drops from the positions ``at`` the rates without a response or whose response overflows (a span
+        past about 1e155).  Where the input's block moments overflow, the zeros of the Toeplitz matrices
+        meet inf and give NaN norms, which drop those rates too."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, G, sv = response_moments(rates[at], us, dt, np.column_stack([fit.q, fit.r]), gram)
+        norms = np.sqrt(sq)
+        keep = (norms > 0) & np.isfinite(norms)
+        if not keep.all():
+            at, norms, sv = at[keep], norms[keep], sv[keep]
+            G = None if G is None else G[np.ix_(keep, keep)]
+        if G is not None:
+            G /= norms[:, None]
+            G /= norms
+        sv /= norms[:, None]
+        return at, sv, G
+
+    def zoom(sets: np.ndarray) -> np.ndarray:
+        """Positions of the candidates within _ZOOM grid indices of a coarse member of ``sets``, of its sign.
+        One sign's candidates sit side by side in ``rates``, a grid index apart."""
+        hit = np.zeros(len(rates), dtype=bool)
+        hit[coarse[sets.ravel()]] = True
+        near, pos = hit.copy(), rates > 0
+        for s in range(1, _ZOOM + 1):
+            same = pos[s:] == pos[:-s]
+            near[s:] |= hit[:-s] & same
+            near[:-s] |= hit[s:] & same
+        return np.flatnonzero(near)
+
+    # fits[k] is the refined fit of order k, None when it has no start.  The search reads the coarse
+    # candidates, every _STRIDE-th grid index, through one response_moments pass per fit below the top
+    # order: SV[k] = S [q, r] with fits[k], and for pairs the first pass gives their Gram matrix
+    # G = S S' too.  Each search step takes its _KEEP[m] best coarse sets, and one more pass over the
+    # fine candidates near them (``zoom``) gives the statistics from which extend_rate_set picks the start.
     fits = [project(us, dt, ys, np.empty(0), cfg.allow_impulse)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq, G, sv = response_moments(rates, us, dt, np.column_stack([fits[0].q, fits[0].r]), cfg.max_modes >= 2)
-    norms = np.sqrt(sq)
-    keep = (norms > 0) & np.isfinite(norms)
-    if not keep.all():
-        rates, norms, sv = rates[keep], norms[keep], sv[keep]
-        G = None if G is None else G[np.ix_(keep, keep)]
-    if not len(rates) and not cfg.allow_impulse:
+    coarse, SV0, G = moments(np.flatnonzero(index % _STRIDE == 0), fits[0], cfg.max_modes >= 2)
+    if not len(coarse) and not cfg.allow_impulse:
         raise ValueError(
             f"no candidate rate has a finite, nonzero response over the run's time span of {span:g}; "
             "rescale the time axis"
         )
-    if G is not None:
-        G /= norms[:, None]
-        G /= norms
-    sv /= norms[:, None]
-    SV = {0: sv}
+    SV = {0: SV0}
     for k in range(1, cfg.max_modes + 1):
         starts = []
         for j, m in ((k - 2, 2), (k - 1, 1)):
             if j >= 0 and fits[j] is not None:
-                seed = extend_rate_set(rates, SV[j], G, fits[j], m)
+                fine, sv, Gf = moments(zoom(_best_sets(SV[j], G, fits[j].det, m, _KEEP[m])), fits[j], m == 2)
+                seed = extend_rate_set(rates[fine], sv, Gf, fits[j], m)
                 if seed is not None and not any(np.array_equal(seed, s) for s in starts):
                     starts.append(seed)
         fit = None
@@ -412,8 +471,7 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
                 fit = trial
         fits.append(fit)
         if k < cfg.max_modes and fit is not None:
-            SV[k] = response_moments(rates, us, dt, np.column_stack([fit.q, fit.r]))[2]
-            SV[k] /= norms[:, None]
+            SV[k] = moments(coarse, fit)[1]
     tie_tol = 1e-12 * math.ldexp(yy, -2 * ey)
     best = None
     for fit in fits[0 if cfg.allow_impulse else 1 :]:

@@ -257,11 +257,14 @@ class TestFitProductivity:
 
     def test_growing_candidates_follow_the_growth_cutoff_at_every_span(self, monkeypatch):
         # the candidate set against the rule written out: every grid rate, and the negative of each
-        # one with rate * span <= 150; the two may differ only where rate * span rounds to 150
+        # one with rate * span <= 150; the two may differ only where rate * span rounds to 150.  The
+        # first pass takes exactly the rule's candidates of every third grid index, and no later pass
+        # takes a rate outside the rule's set
         import prodflow.identify
 
         cfg = FitConfig(max_modes=1)
         grid = rate_grid(cfg).tolist()
+        index = {r: i for i, r in enumerate(grid)}
         seen, moments = [], prodflow.identify.response_moments
 
         def recording(rates, *args):
@@ -278,7 +281,73 @@ class TestFitProductivity:
             fit_productivity(ProcessRun(TimeSeries(t, np.ones(3)), TimeSeries(t, np.array([1.0, 2.0, 2.5]))), cfg)
             want = sorted(grid + [-r for r in grid if r * span <= 150.0])
             near = {-r for r in grid if abs(r * span - 150.0) <= 2 * math.ulp(150.0)}
-            assert [r for r in seen[0].tolist() if r not in near] == [r for r in want if r not in near]
+            coarse = [r for r in want if index[abs(r)] % 3 == 0 and r not in near]
+            assert [r for r in seen[0].tolist() if r not in near] == coarse
+            assert len(seen) > 1 and set(np.concatenate(seen[1:]).tolist()) <= set(want) | near
+
+    def test_the_search_scores_the_coarse_grid_and_zooms_in_on_its_picks(self, monkeypatch):
+        # three modes: the pair steps of orders 2 and 3 and the two passes for the order 1 and 2 fits
+        import prodflow.identify as identify
+
+        cfg = FitConfig(max_modes=3)
+        two = ProductivityFunction(0.3, (ExponentialMode(0.8, 0.9), ExponentialMode(-0.2, 0.15)))
+        run = step_run(two, 20.0, 0.05, noise=0.01, seed=4)
+        grid = rate_grid(cfg)
+        index = {r: i for i, r in enumerate(grid.tolist())}
+        fine = np.concatenate([-grid[grid <= growth_cutoff(run.output.t)][::-1], grid])
+        coarse = fine[[index[abs(r)] % 3 == 0 for r in fine.tolist()]]
+        log, moments, best_sets = [], identify.response_moments, identify._best_sets
+
+        def record_moments(rates, *args):
+            log.append(("pass", rates))
+            return moments(rates, *args)
+
+        def record_sets(SV, G, prev_det, m, keep):
+            sets = best_sets(SV, G, prev_det, m, keep)
+            if keep > 1:  # a step's coarse picks, not extend_rate_set's pick among the zoom's
+                log.append(("picks", coarse[sets.ravel()]))
+            return sets
+
+        monkeypatch.setattr(identify, "response_moments", record_moments)
+        monkeypatch.setattr(identify, "_best_sets", record_sets)
+        fit_productivity(run, cfg)
+        kinds = [kind for kind, _ in log]
+        # the first pass, and orders 1 to 3: the pair step (from order 2), the single step, and the
+        # pass for the next order's fit (below order 3)
+        assert kinds == ["pass", "picks", "pass", "pass", *["picks", "pass"] * 2, "pass", *["picks", "pass"] * 2]
+        for (kind, rates), (_, after) in zip(log, log[1:]):
+            if kind == "picks":
+                step = np.abs(np.array([[index[abs(r)] for r in rates.tolist()]]) - [[index[abs(r)]] for r in after])
+                same = np.sign(after)[:, None] == np.sign(rates)
+                assert ((step <= 2) & same).any(axis=1).all()
+                assert set(rates.tolist()) <= set(after.tolist())
+        passes = [rates for (kind, rates), (before, _) in zip(log, [("", None)] + log) if kind == "pass" and before != "picks"]
+        assert len(passes) == 3 and all(np.array_equal(rates, coarse) for rates in passes)
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_rates_off_the_coarse_grid_come_back_on_the_fine_grid(self, offset):
+        # noise-free records whose rates are fine grid points between coarse ones: the search alone,
+        # without refinement, lands on them exactly
+        grid = rate_grid(FitConfig())
+        for i in range(60 + offset, 258, 15):  # rates 0.01 to 20 on a 20-unit record
+            for impulse in (0.0, 0.3):
+                pf = ProductivityFunction(impulse, (ExponentialMode(1.0, grid[i]),))
+                tau, u, _, y = mode_record(pf, 0.05, 400)
+                run = ProcessRun(TimeSeries(tau, u), TimeSeries(tau, y))
+                fit = fit_productivity(run, FitConfig(max_modes=1, refine_iterations=0))
+                assert [m.decay_rate for m in fit.model.modes] == [grid[i]]
+        # two modes and an impulse.  At (120, 201) the fast mode's small weight leaves its coarse
+        # neighbours some 200 places down the coarse pair ranking, so there only refinement finds it
+        for i, j in [(90, 171), (120, 201), (150, 231), (75, 216), (105, 186)]:
+            slow, fast = grid[i + offset], grid[j + 3 - offset]
+            pf = ProductivityFunction(0.4, (ExponentialMode(1.0, slow), ExponentialMode(-0.5, fast)))
+            tau, u, _, y = mode_record(pf, 0.05, 400)
+            run = ProcessRun(TimeSeries(tau, u), TimeSeries(tau, y))
+            fit = fit_productivity(run, FitConfig(refine_iterations=0))
+            if (i, j) != (120, 201):
+                assert [m.decay_rate for m in fit.model.modes] == [slow, fast]
+            fit = fit_productivity(run)
+            assert [m.decay_rate for m in fit.model.modes] == pytest.approx([slow, fast], rel=1e-9)
 
 
 class TestConfig:
