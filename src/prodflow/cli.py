@@ -109,15 +109,18 @@ def _cmd_settle(args) -> int:
     cfg = SettlingConfig(epsilon=args.epsilon, band_mode=args.band)
     result = settling_time(pf, cfg)
     stable = is_stable(pf)
-    print(f"settling_time: {result.settling_time!r}")
-    print(f"steady_state: {'undefined' if result.steady_state_value is None else repr(result.steady_state_value)}")
-    print(f"band_low: {result.band_low!r}")
-    print(f"band_high: {result.band_high!r}")
-    print(f"stable: {str(stable).lower()}")
-    if args.total_time is not None:
+    lines = [
+        f"settling_time: {result.settling_time!r}",
+        f"steady_state: {'undefined' if result.steady_state_value is None else repr(result.steady_state_value)}",
+        f"band_low: {result.band_low!r}",
+        f"band_high: {result.band_high!r}",
+        f"stable: {str(stable).lower()}",
+    ]
+    if args.total_time is not None:  # computed before anything is printed, so an error leaves stdout empty
         frac = percentile_reaction_time(result.settling_time, args.total_time)
-        print(f"reaction_pct: {100.0 * frac:.2f}%")
-        print(f"steadiness: {classify_steadiness(result.settling_time, args.total_time, stable)}")
+        lines.append(f"reaction_pct: {100.0 * frac:.2f}%")
+        lines.append(f"steadiness: {classify_steadiness(result.settling_time, args.total_time, stable)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -190,7 +193,11 @@ def _cmd_report(args) -> int:
         for row in rows:
             ts = row.settling_time
             horizon = 1.5 * ts if math.isfinite(ts) and ts > 0 else row.total_time
-            curves.append((row.name, step_response(row.model, horizon, horizon / 400.0)))
+            try:
+                curves.append((row.name, step_response(row.model, horizon, horizon / 400.0)))
+            except ValueError:
+                why = "its 400 steps underflow" if horizon / 400.0 == 0.0 else "its step response is not finite there"
+                raise ValueError(f"cannot plot case {row.name!r} over its horizon {horizon!r}: {why}") from None
         emit_step_plot(curves, args.plot)
     return 0
 

@@ -58,20 +58,26 @@ def build_report(cases: Sequence[CaseRecord], cfg: SettlingConfig = SettlingConf
     """One row per case, carrying its model, sorted by ascending reaction fraction (name breaks ties).
 
     A case whose settling computation fails is kept with NaN transient
-    fields and the failure appended to its note.
+    fields, and one whose reaction fraction fails with a NaN fraction; the
+    failure is appended to its note.
     """
     if not cases:
         raise ValueError("no cases to report")
     rows = []
     for case in cases:
         stable = is_stable(case.model)
-        note = case.note
+        note, frac = case.note, math.nan
         try:
             ts = settling_time(case.model, cfg).settling_time
-            frac = percentile_reaction_time(ts, case.total_time)
         except ValueError as exc:
-            ts = frac = math.nan
-            note = f"{note}; settling failed: {exc}" if note else f"settling failed: {exc}"
+            ts, failure = math.nan, f"settling failed: {exc}"
+        else:
+            try:
+                frac, failure = percentile_reaction_time(ts, case.total_time), ""
+            except ValueError as exc:
+                failure = str(exc)
+        if failure:
+            note = f"{note}; {failure}" if note else failure
         steadiness = classify_steadiness(ts, case.total_time, stable)
         metrics = {key: getattr(case.metrics, key) if case.metrics else None for key in METRIC_COLUMNS}
         rows.append(

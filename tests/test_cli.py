@@ -172,6 +172,11 @@ class TestSettle:
         err = capsys.readouterr().err
         assert err == "error: reaction fraction 4.674421084273087 / 1e-307 is not finite in percent\n"
 
+    def test_a_reaction_percentage_error_prints_no_result(self, cases_dir, capsys):
+        # the fraction and the verdict come before any line, so a script reading stdout gets nothing
+        assert run_cli("settle", "--model", str(cases_dir / "case1/model.txt"), "--total-time", "1e-307") == 1
+        assert capsys.readouterr().out == ""
+
     def test_missing_file(self, capsys):
         assert run_cli("settle", "--model", "/no/such/file.txt") == 1
         assert "file" in capsys.readouterr().err.lower()
@@ -497,6 +502,36 @@ class TestReport:
             assert run_cli(*argv, "--plot", str(tmp_path / "r.svg")) == 0
         assert capsys.readouterr() == ("", "")
         assert out.read_text().splitlines()[1] == "Edge,3.91202,10,39.12,,,,,,steady"
+
+    def test_a_reaction_fraction_past_the_float_maximum_keeps_the_settling_time(self, tmp_path, capsys):
+        # ts = 3.912 is found; ts / tt = 3.9e320 is not finite, so the row is unsteady with no percentage
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1.0 1.0\n")
+        (case / "case.txt").write_text("name = Tiny\ntt = 1e-320\nmodel = model.txt\n")
+        out = tmp_path / "r.csv"
+        assert run_cli("report", "--cases", str(tmp_path / "cases"), "--out", str(out)) == 0
+        note = "note [Tiny]: reaction fraction 3.912023005428146 / 1e-320 is not finite in percent\n"
+        assert capsys.readouterr() == (note, "")
+        assert out.read_text().splitlines()[1] == "Tiny,3.91202,9.99989e-321,,,,,,,unsteady"
+
+    @pytest.mark.parametrize(
+        "tt,why",
+        [("5e-324", "its 400 steps underflow"), ("1000", "its step response is not finite there")],
+        ids=["underflow", "overflow"],
+    )
+    def test_a_plot_that_cannot_be_drawn_names_the_case(self, tmp_path, capsys, tt, why):
+        # a growing model has no final band, so its plot spans tt; the CSV is written before the plot
+        case = tmp_path / "cases" / "c1"
+        case.mkdir(parents=True)
+        (case / "model.txt").write_text("exp 1.0 -1.0\n")
+        (case / "case.txt").write_text(f"name = Grows\ntt = {tt}\nmodel = model.txt\n")
+        out, plot = tmp_path / "r.csv", tmp_path / "r.svg"
+        argv = ["report", "--cases", str(tmp_path / "cases"), "--band", "final", "--out", str(out), "--plot", str(plot)]
+        assert run_cli(*argv) == 1
+        err = f"error: cannot plot case 'Grows' over its horizon {float(tt)!r}: {why}\n"
+        assert capsys.readouterr() == ("note [Grows]: settling failed: final-value band needs a stable model\n", err)
+        assert out.read_text().splitlines()[1].startswith("Grows,,") and not plot.exists()
 
     @pytest.mark.parametrize("tt", ["-3", "nan", "inf"])
     def test_a_bad_total_time_names_the_case_file(self, tmp_path, capsys, tt):

@@ -83,7 +83,7 @@ def run(*argv, files=()):
     assert rc in (0, 1), err
     if rc == 1:
         assert len(err.splitlines()) == 1, err
-        return
+        return rc, out
     assert err == ""
     growing = "steady_state: undefined" in out
     for line in "\n".join([out, *(path.read_text() for path in files)]).splitlines():
@@ -95,6 +95,7 @@ def run(*argv, files=()):
             except ValueError:
                 continue
             assert math.isfinite(value), line
+    return rc, out
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,13 +109,15 @@ def run(*argv, files=()):
     ),
 )
 @example(model=REPRODUCER, band="final", total=None, epsilon=None)
+@example(model="exp 1.0 1.0\n", band="final", total=1e-307, epsilon=None)
 def test_settle(work, model, band, total, epsilon):
     path = work / "settle.txt"
     path.write_text(model)
     argv = ["settle", "--model", path, "--band", band]
     argv += [] if total is None else [f"--total-time={total!r}"]
     argv += [] if epsilon is None else [f"--epsilon={epsilon!r}"]
-    run(*argv)
+    rc, out = run(*argv)
+    assert rc == 0 or out == "", out  # an error leaves no half result on stdout
 
 
 @settings(max_examples=40, deadline=None)

@@ -86,6 +86,17 @@ class TestBuildReport:
         assert rows[-1].name == "Case 2"  # NaN fraction sorts last
         assert len(rows) == 5
 
+    def test_a_failed_reaction_fraction_keeps_the_settling_time(self):
+        # ts = 3.912 is found; only ts / tt fails, so the row keeps ts and, with ts / tt past 1, is unsteady
+        from prodflow import ExponentialMode
+
+        case = CaseRecord("Tiny", ProductivityFunction(0.0, (ExponentialMode(1.0, 1.0),)), 1e-320)
+        (row,) = build_report([case])
+        assert row.settling_time == pytest.approx(3.912023, rel=1e-6)
+        assert math.isnan(row.reaction_fraction)
+        assert row.note == "reaction fraction 3.912023005428146 / 1e-320 is not finite in percent"
+        assert row.steadiness == "unsteady"
+
     def test_report_is_a_permutation(self, cases_dir):
         cases = table_cases(cases_dir)
         rows = build_report(cases)
