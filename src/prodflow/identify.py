@@ -13,7 +13,11 @@ Two estimators:
   least squares; Chen, Billings & Luo 1989): order k starts from the
   order k-2 fit plus the best pair of candidates and from the order k-1
   fit plus the best single candidate, each scored in closed form against
-  that fit's projection, the first candidate set winning exact ties.  Both
+  that fit's projection, the first candidate set winning exact ties.  The
+  search runs coarse to fine: it scores the candidates of every third grid
+  index, then the fine candidates between a member of its 96 best coarse
+  pairs (3 best singles) and that member's coarse neighbours, and picks
+  the start among those.  Both
   starts are refined by variable projection (Golub & Pereyra 1973):
   Levenberg-Marquardt over log|rate| with every sign fixed, the gains
   projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
@@ -21,16 +25,21 @@ Two estimators:
   lowest residual wins, and ties go to the smaller model.  All responses
   are the exact trapezoid-rule block sums of ``transient``, and the fit's
   residual is the refined projection's.  The search never holds them: a
-  pass gives the candidates' norms, for the pair scan their Gram matrix,
-  and their products with the order 0 fit's projection; each later order
-  takes one more pass for the previous fit's.  Every pass is one walk of
+  pass gives the coarse candidates' norms, for the pair scan their Gram
+  matrix, and their products with the order 0 fit's projection; each later
+  order takes one more pass for the previous fit's, and each search step
+  one small pass over its zoom, with the zoom's Gram matrix for a pair.
+  Every pass is one walk of
   ``transient.response_moments``, which reads the norms and products from
   block moments of the input in O(R n) time for R candidates and n
-  samples, the same with or without the Gram matrix.  Only the Gram pass
-  forms the responses, in blocks of L = 16 within the same walk,
-  O(R L n + R^2 n) once per fit; the other passes never form them.
-  Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
-  set's modes and log-rate derivatives from ``trapezoid_convolve``.  The
+  samples, the same with or without the Gram matrix.  Only the Gram passes
+  form the responses, in blocks of L = 16 within the same walk,
+  O(R L n + R^2 n); the other passes never form them.  R is the coarse
+  count, 199 on the default grid for a 20-unit record instead of the 594
+  fine candidates, or the zoom's, about 20 for a single and 100 to 300 for
+  a pair.  Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
+  set's modes and log-rate derivatives from ``trapezoid_convolve``; a
+  projection keeps O(k n) memory for k rates.  The
   fit runs on copies of the input and output
   scaled by powers of two, which is exact, so that growing-mode responses
   to values near the overflow limit stay finite.  The whole procedure is
@@ -327,10 +336,15 @@ def _best_sets(SV: np.ndarray, G: np.ndarray | None, prev_det: float, m: int, ke
 def _ranked(score: np.ndarray, order: np.ndarray, keep: int) -> np.ndarray:
     """Positions of the ``keep`` highest scores, NaN as the highest, ties in ascending ``order``."""
     score = np.where(np.isnan(score), math.inf, score)
-    cut = np.arange(len(score))
-    if len(score) > keep:  # only the scores from the keep-th highest up, its ties too, are sorted
-        cut = cut[score >= np.partition(score, len(score) - keep)[len(score) - keep]]
+    cut = _leaders(score, keep)
     return cut[np.lexsort((order[cut], -score[cut]))[:keep]]
+
+
+def _leaders(score: np.ndarray, keep: int) -> np.ndarray:
+    """Positions of the scores from the ``keep``-th highest up, its ties too: every one when ``keep`` or fewer."""
+    if len(score) <= keep:
+        return np.arange(len(score))
+    return np.flatnonzero(score >= np.partition(score, len(score) - keep)[len(score) - keep])
 
 
 def _best_pair(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float) -> tuple[int, int] | None:
@@ -371,8 +385,13 @@ def _best_pairs(SQ: np.ndarray, c: np.ndarray, G: np.ndarray, prev_det: float, k
         ok = np.multiply(prev_det, det, out=t) > _SINGULAR_DET
         lead = ok[:, : b - a]  # column j - a - 1 of row i - a holds the set (i, j): keep j > i
         lead[np.tri(*lead.shape, -1, dtype=bool)] = False
-        i, j = np.nonzero(ok)
-        score = np.concatenate([score, num[i, j] / det[i, j]])
+        t.fill(-math.inf)
+        np.divide(num, det, out=t, where=ok)
+        t[np.isnan(t)] = math.inf  # a NaN score ranks first, as np.argmax takes it
+        top = _leaders(t.ravel(), keep)
+        top = top[ok.ravel()[top]]
+        i, j = np.divmod(top, t.shape[1])
+        score = np.concatenate([score, t.ravel()[top]])
         pos = np.concatenate([pos, (a + i) * R + (a + 1 + j)])
         best = _ranked(score, pos, keep)
         score, pos = score[best], pos[best]
@@ -390,7 +409,10 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
     inside the search space (order 0), so the returned gof never falls
     below fit_fdp's.  Ties between model orders go to the smaller model.
     Growing rates, candidates and refined ones alike, stay at or below
-    grow_max = min(rate_max, 150 / the run's time span).
+    grow_max = min(rate_max, 150 / the run's time span).  The search scores
+    the candidates of every ``_STRIDE``-th grid index; each step then zooms
+    in on the fine candidates near its ``_KEEP[m]`` best coarse sets, where
+    ``extend_rate_set`` picks the start.
     """
     t, u, y, dt, uu, yy = _common_grid(run)
     if uu == 0.0:
@@ -432,16 +454,12 @@ def fit_productivity(run: ProcessRun, cfg: FitConfig = FitConfig()) -> FitResult
         return at, sv, G
 
     def zoom(sets: np.ndarray) -> np.ndarray:
-        """Positions of the candidates within _ZOOM grid indices of a coarse member of ``sets``, of its sign.
-        One sign's candidates sit side by side in ``rates``, a grid index apart."""
-        hit = np.zeros(len(rates), dtype=bool)
-        hit[coarse[sets.ravel()]] = True
-        near, pos = hit.copy(), rates > 0
-        for s in range(1, _ZOOM + 1):
-            same = pos[s:] == pos[:-s]
-            near[s:] |= hit[:-s] & same
-            near[:-s] |= hit[s:] & same
-        return np.flatnonzero(near)
+        """Positions of the candidates within _ZOOM grid indices of a coarse member of ``sets``, of its sign."""
+        member = np.zeros(len(coarse), dtype=bool)
+        member[sets] = True
+        p = coarse[member]
+        near = (np.abs(index[:, None] - index[p]) <= _ZOOM) & ((rates[:, None] > 0) == (rates[p] > 0))
+        return np.flatnonzero(near.any(axis=1))
 
     # fits[k] is the refined fit of order k, None when it has no start.  The search reads the coarse
     # candidates, every _STRIDE-th grid index, through one response_moments pass per fit below the top
