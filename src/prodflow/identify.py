@@ -17,36 +17,34 @@ Two estimators:
   search runs coarse to fine: it scores the candidates of every third grid
   index, then the fine candidates between a member of its 96 best coarse
   pairs (3 best singles) and that member's coarse neighbours, and picks
-  the start among those.  Both
-  starts are refined by variable projection (Golub & Pereyra 1973):
-  Levenberg-Marquardt over log|rate| with every sign fixed, the gains
-  projected out at each iterate and Kaufman's (1975) Jacobian.  The lower
-  refined residual wins, the pair start on a tie.  Between orders the
-  lowest residual wins, and ties go to the smaller model.  All responses
-  are the exact trapezoid-rule block sums of ``transient``, and the fit's
-  residual is the refined projection's.  The search never holds them: a
-  pass gives the coarse candidates' norms, for the pair scan their Gram
-  matrix, and their products with the order 0 fit's projection; each later
-  order takes one more pass for the previous fit's, and each search step
-  one small pass over its zoom, with the zoom's Gram matrix for a pair.
-  Every pass is one walk of
+  the start among those.  Both starts are refined by variable projection
+  (Golub & Pereyra 1973): Levenberg-Marquardt over log|rate| with every
+  sign fixed, the gains projected out at each iterate and Kaufman's (1975)
+  Jacobian.  The lower refined residual wins, the pair start on a tie.
+  Between orders the lowest residual wins, and ties go to the smaller
+  model.  All responses are the exact trapezoid-rule block sums of
+  ``transient``, and the fit's residual is the refined projection's.  The
+  search never holds them: a pass gives the coarse candidates' norms, for
+  the pair scan their Gram matrix, and their products with the order 0
+  fit's projection; each later order takes one more pass for the previous
+  fit's, and each search step one small pass over its zoom, with the
+  zoom's Gram matrix for a pair.  Every pass is one walk of
   ``transient.response_moments``, which reads the norms and products from
   block moments of the input in O(R n) time for R candidates and n
   samples, the same with or without the Gram matrix.  Only the Gram passes
   form the responses, in blocks of L = 16 within the same walk,
   O(R L n + R^2 n); the other passes never form them.  R is the coarse
-  count, 199 on the default grid for a 20-unit record instead of the 594
-  fine candidates, or the zoom's, about 20 for a single and 100 to 300 for
-  a pair.  Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
-  set's modes and log-rate derivatives from ``trapezoid_convolve``; a
-  projection keeps O(k n) memory for k rates.  The
-  fit runs on copies of the input and output
-  scaled by powers of two, which is exact, so that growing-mode responses
-  to values near the overflow limit stay finite.  The whole procedure is
-  deterministic at a fixed BLAS thread count: same run, config and thread
-  count, same model.  Threaded BLAS sums dot products in an order set by
-  the thread count, so on long records the last digits of a fit can
-  change with it.
+  count (199 of the 594 fine candidates on the default grid for a 20-unit
+  record) or the zoom's (about 20 for a single, 100 to 300 for a pair).
+  Search memory is O(R L^2 + R^2) whatever n.  Refinement takes each rate
+  set's modes and log-rate derivatives from ``trapezoid_convolve``, and a
+  projection keeps O(k n) memory for k rates.  The fit runs on copies of
+  the input and output scaled by powers of two, which is exact, so that
+  growing-mode responses to values near the overflow limit stay finite.
+  The whole procedure is deterministic at a fixed BLAS thread count: same
+  run, config and thread count, same model.  Threaded BLAS sums dot
+  products in an order set by the thread count, so on long records the
+  last digits of a fit can change with it.
 
 Goodness of fit is NRMSE, 1 - ||y - yhat|| / ||y - mean(y)||: 1 is an
 exact match, 0 means no better than the mean.
@@ -194,7 +192,7 @@ class Projection:
     y - q q'y, formed from ``q`` and ``y`` on each read, and ``residual``
     its squared norm.  ``jtj`` and ``jtr`` are J'J and J'r for Kaufman's
     Jacobian J, dr/d(log|rate_j|) ~ -gain_j * P_perp * D_j, which itself is
-    not kept: a projection holds O(n k) memory for k rates and n samples.
+    not kept: a projection holds O(k n) memory for k rates and n samples.
     """
 
     rates: np.ndarray
@@ -223,7 +221,7 @@ def project(u: np.ndarray, dt: float, y: np.ndarray, rates: np.ndarray, allow_im
     """
     k = len(rates)
     cols = trapezoid_convolve(rates, u, dt, derivatives=True)
-    if allow_impulse:  # u joins the one array of columns, not a copy of them
+    if allow_impulse:  # u joins the modes and derivatives in one array, so no second copy of the modes is held
         cols = np.concatenate([u[None], cols])
     A, dT = cols[: len(cols) - k].T, cols[len(cols) - k :].T
     Q, R = np.linalg.qr(A)
