@@ -312,16 +312,18 @@ class TestFitProductivity:
         monkeypatch.setattr(identify, "_best_sets", record_sets)
         fit_productivity(run, cfg)
         kinds = [kind for kind, _ in log]
-        # the first pass, and orders 1 to 3: the pair step (from order 2), the single step, and the
-        # pass for the next order's fit (below order 3)
+        # the first pass, then for orders 1 to 3 the pair step (from order 2) and the single step, each
+        # a set of picks and its zoom's pass, and below order 3 the pass for the order's fit
         assert kinds == ["pass", "picks", "pass", "pass", *["picks", "pass"] * 2, "pass", *["picks", "pass"] * 2]
         for (kind, rates), (_, after) in zip(log, log[1:]):
             if kind == "picks":
                 step = np.abs(np.array([[index[abs(r)] for r in rates.tolist()]]) - [[index[abs(r)]] for r in after])
                 same = np.sign(after)[:, None] == np.sign(rates)
                 assert ((step <= 2) & same).any(axis=1).all()
-                assert set(rates.tolist()) <= set(after.tolist())
-        passes = [rates for (kind, rates), (before, _) in zip(log, [("", None)] + log) if kind == "pass" and before != "picks"]
+                assert set(rates.tolist()) <= set(after.tolist()) <= set(fine.tolist())
+        # the passes that follow no picks: the first pass and the passes for the order 1 and 2 fits
+        before = [""] + kinds[:-1]
+        passes = [rates for (kind, rates), prev in zip(log, before) if kind == "pass" and prev != "picks"]
         assert len(passes) == 3 and all(np.array_equal(rates, coarse) for rates in passes)
 
     @pytest.mark.parametrize("offset", [1, 2])
