@@ -20,9 +20,10 @@ Two estimators:
   the start among those.  Both starts are refined by variable projection
   (Golub & Pereyra 1973): Levenberg-Marquardt over log|rate| with every
   sign fixed, the gains projected out at each iterate and Kaufman's (1975)
-  Jacobian.  The lower refined residual wins, the pair start on a tie.
-  Between orders the lowest residual wins, and ties go to the smaller
-  model.  All responses are the exact trapezoid-rule block sums of
+  Jacobian, Nielsen's damping, a rate held at its bound left out of the
+  step, and a stop on the relative offset (Bates & Watts 1981).  The
+  lower refined residual wins, the pair start on a tie.  Between orders
+  the lowest residual wins, and ties go to the smaller model.  All responses are the exact trapezoid-rule block sums of
   ``transient``, and the fit's residual is the refined projection's.  The
   search never holds them: a pass gives the coarse candidates' norms, for
   the pair scan their Gram matrix, and their products with the order 0
@@ -66,6 +67,8 @@ _MAX_GROWTH_EXPONENT = 150.0
 # a normalised Gram determinant at or below this marks a rate set as
 # singular, in the search and in refinement alike
 _SINGULAR_DET = 1e-10
+# refinement stops once the fit's relative offset (Bates & Watts 1981) is at most this
+_REL_OFFSET = 1e-3
 # refinement stops once an accepted step gains less than this fraction
 _REL_TOL = 1e-10
 # refinement moves each log|rate| by at most this much per step
@@ -98,7 +101,8 @@ class FitConfig:
     rate_min: float = 1e-3
     rate_max: float = 1e3
     points_per_decade: int = 60
-    # Levenberg-Marquardt trial steps per model order; 0 keeps the grid rates
+    # Levenberg-Marquardt trial steps per refinement of a start (an order refines up to two starts);
+    # 0 keeps the grid rates
     refine_iterations: int = 50
 
     def __post_init__(self):
@@ -257,12 +261,21 @@ def refine(
     Optimises log|rate| jointly with every rate's sign fixed and the gains
     projected out at each iterate (Golub & Pereyra 1973), using Kaufman's
     (1975) Jacobian.  A step is taken only if it strictly lowers the
-    residual, so the result is never worse than ``rates0``.  Trial rates
-    are clipped to [rate_min, rate_max] in magnitude, and growing ones to
-    at most ``grow_max``, the caller's growth cutoff; a trial that makes
-    the rate set singular (``project``'s determinant test, always on)
-    fails like any other.  At most ``cfg.refine_iterations`` trial steps.
-    Returns None only when ``rates0`` itself is singular, by the same test.
+    residual, so the result is never worse than ``rates0``.  The damping
+    follows Nielsen (1999): an accepted step scales it by
+    max(1/3, 1 - (2 rho - 1)^3), rho being the gain over the linear
+    model's, and refused ones by 2, 4, 8, ...  Rates are bounded to
+    [rate_min, rate_max] in magnitude, and growing ones to at most
+    ``grow_max``, the caller's growth cutoff.  A rate at a bound whose
+    gradient points out of the range is held there for the step, which
+    solves for the other rates (a projected step); trial rates are still
+    clipped to the range.  A trial that makes the rate set singular
+    (``project``'s determinant test, always on) fails like any other.
+    Refinement stops when the fit's relative offset over the free rates
+    (Bates & Watts 1981) is at most ``_REL_OFFSET``, when an accepted step
+    gains less than ``_REL_TOL`` of the residual, when every rate is held,
+    or after ``cfg.refine_iterations`` trial steps for this start.  Returns
+    None only when ``rates0`` itself is singular, by the same test.
     """
     rates0 = np.asarray(rates0, dtype=float)
     cur = project(u, dt, y, rates0, cfg.allow_impulse)
@@ -271,30 +284,61 @@ def refine(
     signs, logs = np.sign(rates0), np.log(np.abs(rates0))
     hi = np.where(signs < 0, grow_max, cfg.rate_max)
     log_lo, log_hi = math.log(cfg.rate_min), np.log(hi)
-    lam = 1e-3
+    lam, nu, moved = 1e-3, 2.0, True
     for _ in range(cfg.refine_iterations):
-        JTJ = cur.jtj
+        if moved:  # cur is new: the rates it leaves free, and its relative offset over them
+            g = cur.jtr
+            free = ((logs > log_lo) | (g <= 0)) & ((logs < log_hi) | (g >= 0))
+            JTJ, gf = cur.jtj[np.ix_(free, free)], g[free]
+            p = len(gf)
+            if not p or _converged(JTJ, gf, cur.residual, len(y) - p):
+                break
+            moved = False
         try:
-            step = np.linalg.solve(JTJ + lam * np.diag(np.diagonal(JTJ)), -cur.jtr)
+            step = np.linalg.solve(JTJ + lam * np.diag(np.diagonal(JTJ)), -gf)
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(step).all():
             break
         # clip before exp: each log|rate| moves by at most _MAX_LOG_STEP
-        trial_logs = np.clip(logs + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP), log_lo, log_hi)
+        move = np.zeros_like(logs)
+        move[free] = np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
+        trial_logs = np.clip(logs + move, log_lo, log_hi)
         rates = signs * np.clip(np.exp(trial_logs), cfg.rate_min, hi)
         trial = project(u, dt, y, rates, cfg.allow_impulse)
         if trial is not None and trial.residual < cur.residual:
+            # Nielsen's update from rho, the gain over the linear model's for the step as clipped; at
+            # rho >= 1 the factor is 1/3 already, so capping rho there keeps the cube finite
             gain = cur.residual - trial.residual
+            d = trial_logs - logs
+            predicted = -2.0 * (d @ g) - d @ cur.jtj @ d
+            rho = min(gain / predicted, 1.0) if predicted > 0 else 1.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu, moved = 2.0, True
             cur, logs = trial, trial_logs
-            lam = max(lam / 10.0, 1e-12)
             if gain <= _REL_TOL * cur.residual:
                 break
         else:
-            lam *= 10.0
+            lam *= nu
+            nu *= 2.0
             if lam > 1e10:
                 break
     return cur
+
+
+def _converged(JTJ: np.ndarray, g: np.ndarray, residual: float, dof: int) -> bool:
+    """Whether the relative offset (Bates & Watts 1981) of a fit is at most ``_REL_OFFSET``.
+
+    Its square is g' JTJ^-1 g / p over residual / dof for p rates with J'J = ``JTJ`` and J'r = ``g``:
+    the part of the residual in the tangent plane against the rest, per degree of freedom.
+    """
+    if dof <= 0:
+        return False
+    try:
+        tangent = float(g @ np.linalg.solve(JTJ, g))
+    except np.linalg.LinAlgError:
+        return False
+    return tangent * dof <= _REL_OFFSET**2 * len(g) * residual
 
 
 def extend_rate_set(

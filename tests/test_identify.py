@@ -748,12 +748,25 @@ class TestRefine:
         assert fit.gains == pytest.approx([1.0, -0.5], rel=1e-8)
         assert fit.impulse == pytest.approx(0.4, rel=1e-8)
 
+    # starts at a clip bound too: rate_min and the growth cutoff (-inf stands for -cutoff)
     @pytest.mark.parametrize(
-        "start", [[0.22, 2.9], [0.01, 50.0], [0.5, 0.51], [-0.02, 1.0], [3.0], [-0.1], [0.05, 0.3, 5.0]]
+        "start",
+        [
+            [0.22, 2.9],
+            [0.01, 50.0],
+            [0.5, 0.51],
+            [-0.02, 1.0],
+            [3.0],
+            [-0.1],
+            [0.05, 0.3, 5.0],
+            [0.001, 0.3],
+            [-math.inf, 0.3],
+        ],
     )
     @pytest.mark.parametrize("iterations", [0, 1, 5, 50])
     def test_never_above_the_start(self, start, iterations):
         tau, u, dt, y = self.record(dt=0.1, n=200)
+        start = [max(r, -growth_cutoff(tau)) for r in start]
         y = y + 0.02 * np.random.default_rng(1).standard_normal(len(y))
         start_res = project(u, dt, y, np.array(start), True).residual
         fit = refine(u, dt, y, start, growth_cutoff(tau), FitConfig(refine_iterations=iterations))
@@ -800,3 +813,40 @@ class TestRefine:
         cfg = FitConfig(rate_min=0.01, rate_max=10.0)
         fit = refine(u, dt, y, start, growth_cutoff(tau, cfg), cfg)
         assert np.all((0.01 <= fit.rates) & (fit.rates <= 10.0))
+
+    @pytest.mark.parametrize("seed,start,held", [(0, [0.02, 0.3], 0), (2, [0.3, 5.0], 1)])
+    def test_a_rate_held_at_its_bound_leaves_the_step(self, seed, start, held):
+        # the spare mode ends at rate_min (seed 0) or rate_max (seed 2), and the other rate must reach
+        # its optimum with that one held there; a step clipped back onto the bound stops short of it
+        tau, u, dt, _ = self.record(dt=0.1, n=200)
+        from prodflow import simulate_response, identify
+
+        one = ProductivityFunction(0.4, (ExponentialMode(1.0, 0.3),))
+        y = simulate_response(one, TimeSeries(tau, u), 0.1).values
+        y = y + 0.01 * np.random.default_rng(seed).standard_normal(len(y))
+        cfg = FitConfig(rate_min=0.01, rate_max=10.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(identify, "project", counted)
+            fit = refine(u, dt, y, start, growth_cutoff(tau, cfg), cfg)
+        assert len(calls) <= 8
+        assert fit.rates[held] == pytest.approx((0.01, 10.0)[held], rel=1e-12)
+        cfg = FitConfig(rate_min=0.01, rate_max=10.0, refine_iterations=400)
+        long = refine(u, dt, y, start, growth_cutoff(tau, cfg), cfg)
+        assert fit.residual == pytest.approx(long.residual, rel=1e-9)
+
+        # golden-section search over the free rate, the held one fixed at its bound
+        def residual(r):
+            return project(u, dt, y, np.sort([fit.rates[held], r]), True).residual
+
+        a, b, w = 0.25, 0.35, (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(60):
+            c, d = b - w * (b - a), a + w * (b - a)
+            a, b = (a, d) if residual(c) < residual(d) else (c, b)
+        # the relative-offset stop leaves about _REL_OFFSET^2 p / (n - p) = 5e-9 of the residual
+        assert fit.residual == pytest.approx(residual(a), rel=1e-8)
