@@ -23,13 +23,14 @@ Two estimators:
   Jacobian, Nielsen's damping, a rate held at its bound left out of the
   step, and a stop on the relative offset (Bates & Watts 1981).  The
   lower refined residual wins, the pair start on a tie.  Between orders
-  the lowest residual wins, and ties go to the smaller model.  All responses are the exact trapezoid-rule block sums of
-  ``transient``, and the fit's residual is the refined projection's.  The
-  search never holds them: a pass gives the coarse candidates' norms, for
-  the pair scan their Gram matrix, and their products with the order 0
-  fit's projection; each later order takes one more pass for the previous
-  fit's, and each search step one small pass over its zoom, with the
-  zoom's Gram matrix for a pair.  Every pass is one walk of
+  the lowest residual wins, and ties go to the smaller model.  All
+  responses are the exact trapezoid-rule block sums of ``transient``, and
+  the fit's residual is the refined projection's.  The search never holds
+  them: a pass gives the coarse candidates' norms, for the pair scan their
+  Gram matrix, and their products with the order 0 fit's projection; each
+  later order takes one more pass for the previous fit's, and each search
+  step one small pass over its zoom, with the zoom's Gram matrix for a
+  pair.  Every pass is one walk of
   ``transient.response_moments``, which reads the norms and products from
   block moments of the input in O(R n) time for R candidates and n
   samples, the same with or without the Gram matrix.  Only the Gram passes
